@@ -152,7 +152,6 @@ int main(int argc, char** argv) {
   community.m = 100;
 
   ExperimentOptions eopts;
-  eopts.shards = 4;
   eopts.threads = 4;
   eopts.top_m = 10;
   eopts.queries_per_epoch = smoke ? 10000 : 40000;

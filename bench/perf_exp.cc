@@ -119,7 +119,6 @@ int main(int argc, char** argv) {
       }
     }
     ServeOptions sopts;
-    sopts.shards = 4;
     ShardedRankServer server(
         MakePromotionPolicy(RankPromotionConfig::Recommended(2)), community.n,
         sopts);
@@ -168,7 +167,6 @@ int main(int argc, char** argv) {
   // Arm sweep: identical per-epoch volume routed across N arms.
   for (const size_t arms : {1u, 2u, 4u}) {
     ExperimentOptions opts;
-    opts.shards = 4;
     opts.threads = 2;
     opts.top_m = 10;
     opts.queries_per_epoch = kQueriesPerEpoch;
@@ -201,13 +199,12 @@ int main(int argc, char** argv) {
   }
 
   // Epoch turnover with zero traffic: fold + shared churn + every arm's
-  // publish (snapshot rebuilds, epoch caches). The manager-level
+  // publish (incremental view builds, epoch state). The manager-level
   // epoch-publish-latency number; perf_serve's serve/epoch_publish tracks
   // the single-server unit cost.
   {
     const size_t kTurnovers = smoke ? 12 : 30;
     ExperimentOptions opts;
-    opts.shards = 4;
     opts.threads = 1;
     opts.queries_per_epoch = 0;
     opts.prediscovered_fraction = 0.9;

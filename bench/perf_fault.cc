@@ -68,7 +68,6 @@ Corpus MakeCorpus(size_t n, double zero_fraction, uint64_t seed) {
 
 WorkloadResult MeasurePoint(const Corpus& corpus, size_t queries) {
   ServeOptions opts;
-  opts.shards = 8;
   opts.seed = 0xfa17ULL;
   ShardedRankServer server(RankPromotionConfig::Selective(0.1, 2),
                            corpus.popularity.size(), opts);
@@ -187,7 +186,6 @@ int main(int argc, char** argv) {
                         const std::string& note) {
     std::map<std::string, double> fields = {
         {"threads", 1.0},
-        {"shards", 8.0},
         {"m", 20.0},
         {"batch", 16.0},
         {"pages", static_cast<double>(kPages)},

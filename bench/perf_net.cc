@@ -84,7 +84,6 @@ int main(int argc, char** argv) {
   Rng rng(0x2e7ULL);
   ServingPageState state = MakeServingPageState(community, rng);
   ServeOptions sopts;
-  sopts.shards = 4;
   sopts.seed = 11;
   ShardedRankServer server(
       MakePromotionPolicy(RankPromotionConfig::Recommended(2)), community.n,

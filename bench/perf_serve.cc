@@ -1,13 +1,12 @@
-// Serving-throughput benchmark for the sharded query engine: closed-loop
-// QPS and latency percentiles of fresh-realization top-m queries on a
-// 100k-page corpus, swept over worker threads, shard counts, the degree of
-// randomization r, ServeBatch batch sizes, the per-epoch prefix cache
-// (on/off ablation), the policy families, and the Plackett-Luce alias-table
-// epoch state (serve/pl_alias:{on,off} plus a 2x-corpus pl_largen point),
-// plus one async BatchQueue point and an observability-overhead ablation
-// (serve/obs:{on,off} — identical point with and without the metrics
-// registry + sampled tracing attached; the `on` row's qps_vs_off ratio is
-// gated >= 0.95 by tools/check_bench.py).
+// Serving-throughput benchmark for the query engine: closed-loop QPS and
+// latency percentiles of fresh-realization top-m queries on a 100k-page
+// corpus, swept over worker threads, the degree of randomization r,
+// ServeBatch batch sizes, the policy families, and the Plackett-Luce
+// alias-table epoch state (serve/pl_alias:{on,off} plus a 2x-corpus
+// pl_largen point), plus one async BatchQueue point and an
+// observability-overhead ablation (serve/obs:{on,off} — identical point with
+// and without the metrics registry + sampled tracing attached; the `on`
+// row's qps_vs_off ratio is gated >= 0.95 by tools/check_bench.py).
 //
 // Output: the standard counter-benchmark table, a paper-style series table,
 // and one JSON line per data point (for the per-commit perf trajectory; see
@@ -16,9 +15,7 @@
 // sweep reports `scaling_vs_1thread`; on multi-core hardware the 8-thread
 // row is expected to reach >= 4x the 1-thread QPS (on a single-core CI
 // runner it degenerates to ~1x, which the JSON records honestly via the
-// `hw_threads` field). The cache ablation reports `speedup_vs_percall`:
-// batched+cached serving is expected to clear 2x the per-query uncached
-// (PR-1) path at m=20, S=8.
+// `hw_threads` field).
 
 #include <benchmark/benchmark.h>
 
@@ -42,7 +39,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/epoch_prefix_cache.h"
 #include "serve/feedback.h"
 #include "serve/query_workload.h"
 #include "serve/sharded_rank_server.h"
@@ -76,13 +72,11 @@ Corpus MakeCorpus(size_t n, double zero_fraction, uint64_t seed) {
 }
 
 struct PointConfig {
-  size_t shards = 8;
   double r = 0.1;
   size_t threads = 2;
   size_t queries_per_thread = 1000;
   size_t top_m = 10;
   size_t batch = 1;
-  bool cache = true;
   bool async = false;
   /// Corpus size this point ran against; 0 means the shared default corpus
   /// (kPages). Points on a different corpus (serve/pl_largen) set it so
@@ -100,9 +94,7 @@ struct PointConfig {
 
 WorkloadResult MeasurePoint(const Corpus& corpus, const PointConfig& p) {
   ServeOptions opts;
-  opts.shards = p.shards;
-  opts.seed = 0xbe9cULL + p.shards * 131 + p.threads;
-  opts.enable_prefix_cache = p.cache;
+  opts.seed = 0xbe9cULL + p.threads;
   opts.metrics = p.metrics;
   opts.trace = p.trace;
   const std::shared_ptr<const StochasticRankingPolicy> policy =
@@ -124,67 +116,108 @@ WorkloadResult MeasurePoint(const Corpus& corpus, const PointConfig& p) {
   return RunQueryWorkload(server, wl);
 }
 
-/// Distribution-equivalence check shipped with the perf run: the cached and
-/// uncached serve paths must realize the same law. Statistic: the number of
-/// pool pages in a served top-m (a categorical in 0..m), compared across the
-/// two paths with the two-sample chi-squared test; plus an exact check that
-/// the cached global deterministic order equals the per-query S-way merge
-/// output under r=0. CI fails on drift via tools/check_bench.py.
+/// Plackett-Luce with its epoch state withheld (BuildEpochState keeps the
+/// null default), so the server answers every query through the O(n)
+/// Gumbel-max path: the `off` arm of the alias-table ablation. The hooks
+/// Plackett-Luce implements forward unchanged.
+class WithoutEpochState final : public StochasticRankingPolicy {
+ public:
+  explicit WithoutEpochState(std::shared_ptr<const StochasticRankingPolicy> p)
+      : inner_(std::move(p)) {}
+  std::string Label() const override { return inner_->Label(); }
+  PolicyCapabilities Capabilities() const override {
+    return inner_->Capabilities();
+  }
+  bool PoolMembership(bool zero_awareness, Rng& rng) const override {
+    return inner_->PoolMembership(zero_awareness, rng);
+  }
+  size_t ServePrefix(const ShardView* views, size_t num_views,
+                     const PolicyEpochState* epoch_state,
+                     PolicyScratch& scratch, size_t m, Rng& rng,
+                     std::vector<uint32_t>* out) const override {
+    return inner_->ServePrefix(views, num_views, epoch_state, scratch, m, rng,
+                               out);
+  }
+  std::vector<uint32_t> MaterializeReference(const ShardView& global,
+                                             Rng& rng) const override {
+    return inner_->MaterializeReference(global, rng);
+  }
+
+ private:
+  std::shared_ptr<const StochasticRankingPolicy> inner_;
+};
+
+/// Distribution-equivalence check shipped with the perf run: the served
+/// prefix must realize the reference law. Statistic: the number of pool
+/// pages in a top-m (a categorical in 0..m), compared between the server and
+/// Ranker::MaterializeList over the same inputs with the two-sample
+/// chi-squared test; plus an exact check that after an incremental publish
+/// (the second, with churn) the served order under r=0 equals a
+/// from-scratch sort of the same inputs. CI fails on drift via
+/// tools/check_bench.py.
 std::map<std::string, double> EquivalenceCheck(size_t trials) {
   const size_t n = 2000;
   const size_t m = 20;
   const Corpus corpus = MakeCorpus(n, 0.2, 7);
   const RankPromotionConfig config = RankPromotionConfig::Selective(0.3, 2);
+  const auto count_pool = [&](const uint32_t* top, std::vector<double>* cells) {
+    size_t pool_hits = 0;
+    for (size_t j = 0; j < m; ++j) pool_hits += corpus.zero[top[j]];
+    (*cells)[pool_hits] += 1.0;
+  };
 
-  const auto run = [&](bool cache, std::vector<double>* pool_counts) {
+  // Fixed seeds freeze one draw of the test statistic; this pair is
+  // verified non-rejecting at both the smoke and full trial counts (the
+  // statistic's false-positive rate is ~1e-3, so an arbitrary frozen pair
+  // can land on a deterministic "drift").
+  std::vector<double> served(m + 1, 0.0);
+  {
     ServeOptions opts;
-    opts.shards = 8;
-    // Fixed seeds freeze one draw of the test statistic; this pair is
-    // verified non-rejecting at both the smoke and full trial counts (the
-    // statistic's false-positive rate is ~1e-3, so an arbitrary frozen pair
-    // can land on a deterministic "drift").
-    opts.seed = cache ? 1000ULL : 1001ULL;
-    opts.enable_prefix_cache = cache;
+    opts.seed = 1000ULL;
     ShardedRankServer server(config, n, opts);
     server.Update(corpus.popularity, corpus.zero, corpus.birth);
     auto ctx = server.CreateContext();
     std::vector<uint32_t> out;
-    pool_counts->assign(m + 1, 0.0);
     for (size_t t = 0; t < trials; ++t) {
       server.ServeTopM(ctx, m, &out);
-      size_t pool_hits = 0;
-      for (const uint32_t page : out) pool_hits += corpus.zero[page];
-      (*pool_counts)[pool_hits] += 1.0;
+      count_pool(out.data(), &served);
     }
-  };
-  std::vector<double> cached;
-  std::vector<double> uncached;
-  run(true, &cached);
-  run(false, &uncached);
+  }
+  std::vector<double> reference(m + 1, 0.0);
+  {
+    Ranker ranker(config);
+    Rng rng(1001ULL);
+    ranker.Update(corpus.popularity, corpus.zero, corpus.birth, rng);
+    for (size_t t = 0; t < trials; ++t) {
+      count_pool(ranker.MaterializeList(rng).data(), &reference);
+    }
+  }
 
   // The binomial tail cells are too sparse for the asymptotic chi-squared
   // distribution; merge until every cell carries real mass.
-  MergeSparseCells(&cached, &uncached, 32.0);
+  MergeSparseCells(&served, &reference, 32.0);
   size_t df = 0;
-  const double chi2 = TwoSampleChiSquared(cached, uncached, &df);
+  const double chi2 = TwoSampleChiSquared(served, reference, &df);
   const double critical = ChiSquaredCritical(df > 0 ? df : 1, 0.001);
 
-  // Exact check: under r=0 both paths must emit the identical full list.
-  bool det_exact = true;
-  {
-    std::vector<uint32_t> a;
-    std::vector<uint32_t> b;
-    for (const bool cache : {true, false}) {
-      ServeOptions opts;
-      opts.shards = 8;
-      opts.enable_prefix_cache = cache;
-      ShardedRankServer server(RankPromotionConfig::None(), n, opts);
-      server.Update(corpus.popularity, corpus.zero, corpus.birth);
-      auto ctx = server.CreateContext();
-      server.ServeTopM(ctx, n, cache ? &a : &b);
-    }
-    det_exact = (a == b);
+  // Exact check: 5% of the pages change between two publishes.
+  Corpus churned = corpus;
+  Rng churn(17);
+  for (size_t i = 0; i < n / 20; ++i) {
+    const size_t p = churn.NextIndex(n);
+    churned.popularity[p] = churn.NextDouble() * 0.4;
+    churned.birth[p] = static_cast<int64_t>(churn.NextIndex(4096));
   }
+  ShardedRankServer server(RankPromotionConfig::None(), n);
+  server.Update(corpus.popularity, corpus.zero, corpus.birth);
+  server.Update(churned.popularity, churned.zero, churned.birth);
+  auto ctx = server.CreateContext();
+  std::vector<uint32_t> incremental;
+  server.ServeTopM(ctx, n, &incremental);
+  Ranker scratch(RankPromotionConfig::None());
+  Rng rng(3);
+  scratch.Update(churned.popularity, churned.zero, churned.birth, rng);
+  const bool det_exact = incremental == scratch.deterministic_order();
 
   return {{"trials", static_cast<double>(trials)},
           {"chi2", chi2},
@@ -212,8 +245,7 @@ int main(int argc, char** argv) {
   bench::PrintBanner(
       "perf_serve", "sharded serving engine: QPS and latency of top-m queries",
       "QPS scales with worker threads (>= 4x from 1 -> 8 on >= 8 cores); "
-      "epoch prefix cache + batching >= 2x the per-query uncached path at "
-      "m=20, S=8; latency stays flat in r because resolution is O(m)");
+      "latency stays flat in r because resolution is O(m)");
 
   const size_t kPages = smoke ? 5000 : 100000;
   const Corpus corpus = MakeCorpus(kPages, 0.1, 42);
@@ -221,8 +253,8 @@ int main(int argc, char** argv) {
   const double hw = static_cast<double>(std::thread::hardware_concurrency());
 
   bench::JsonlSink sink;
-  Table table({"sweep", "threads", "shards", "r", "m", "batch", "cache", "QPS",
-               "p50 (us)", "p99 (us)", "note"});
+  Table table({"sweep", "threads", "r", "m", "batch", "QPS", "p50 (us)",
+               "p99 (us)", "note"});
 
   const auto emit = [&](const std::string& name, const PointConfig& p,
                         const WorkloadResult& res,
@@ -230,11 +262,9 @@ int main(int argc, char** argv) {
                         const std::string& sweep, const std::string& note) {
     std::map<std::string, double> fields = {
         {"threads", static_cast<double>(p.threads)},
-        {"shards", static_cast<double>(p.shards)},
         {"r", p.r},
         {"m", static_cast<double>(p.top_m)},
         {"batch", static_cast<double>(p.batch)},
-        {"cache", p.cache ? 1.0 : 0.0},
         {"async", p.async ? 1.0 : 0.0},
         {"pages", static_cast<double>(p.pages > 0 ? p.pages : kPages)},
         {"qps", res.qps},
@@ -247,18 +277,16 @@ int main(int argc, char** argv) {
     table.Row()
         .Cell(sweep)
         .Cell(static_cast<long long>(p.threads))
-        .Cell(static_cast<long long>(p.shards))
         .Cell(p.r, 2)
         .Cell(static_cast<long long>(p.top_m))
         .Cell(static_cast<long long>(p.batch))
-        .Cell(p.cache ? "on" : "off")
         .Cell(res.qps, 0)
         .Cell(res.p50_latency_us, 1)
         .Cell(res.p99_latency_us, 1)
         .Cell(note);
   };
 
-  // Thread-scaling sweep at fixed shards=8, r=0.1 (the paper's recipe).
+  // Thread-scaling sweep at r=0.1 (the paper's recipe).
   double qps_1thread = 0.0;
   for (const size_t threads : {1u, 2u, 4u, 8u}) {
     PointConfig p;
@@ -272,17 +300,7 @@ int main(int argc, char** argv) {
          "x" + FormatFixed(scaling, 2) + " vs 1 thread");
   }
 
-  // Shard-count sweep at 2 threads: with the epoch cache the per-query cost
-  // no longer depends on S (the S-way merge runs once per epoch).
-  for (const size_t shards : {1u, 2u, 4u, 8u, 16u}) {
-    PointConfig p;
-    p.shards = shards;
-    p.queries_per_thread = kQueriesPerThread;
-    const WorkloadResult res = MeasurePoint(corpus, p);
-    emit("serve/shards:" + std::to_string(shards), p, res, {}, "shards", "");
-  }
-
-  // Randomization sweep at 2 threads, 8 shards: serving cost of r.
+  // Randomization sweep at 2 threads: serving cost of r.
   for (const double r : {0.0, 0.1, 0.3, 1.0}) {
     PointConfig p;
     p.r = r;
@@ -299,26 +317,6 @@ int main(int argc, char** argv) {
     p.queries_per_thread = kQueriesPerThread;
     const WorkloadResult res = MeasurePoint(corpus, p);
     emit("serve/batch:" + std::to_string(batch), p, res, {}, "batch", "");
-  }
-
-  // Cache ablation at m=20, S=8: (cache off, batch 1) is the PR-1 per-query
-  // path; (cache on, batch 16) is the batched+cached path the acceptance
-  // criterion measures (>= 2x).
-  double qps_percall = 0.0;
-  for (const auto& [cache, batch] : std::vector<std::pair<bool, size_t>>{
-           {false, 1}, {false, 16}, {true, 1}, {true, 16}}) {
-    PointConfig p;
-    p.top_m = 20;
-    p.batch = batch;
-    p.cache = cache;
-    p.queries_per_thread = kQueriesPerThread;
-    const WorkloadResult res = MeasurePoint(corpus, p);
-    if (!cache && batch == 1) qps_percall = res.qps;
-    const double speedup = qps_percall > 0.0 ? res.qps / qps_percall : 0.0;
-    emit(std::string("serve/cache:") + (cache ? "on" : "off") +
-             "/batch:" + std::to_string(batch),
-         p, res, {{"speedup_vs_percall", speedup}}, "cache",
-         "x" + FormatFixed(speedup, 2) + " vs uncached b=1");
   }
 
   // Async submission queue: producers pipeline windows of futures into the
@@ -345,7 +343,7 @@ int main(int argc, char** argv) {
     emit("serve/async:16", p, res, std::move(extra), "async", "MPSC queue");
   }
 
-  // Observability-overhead ablation at m=20, batch=16, cache on: the same
+  // Observability-overhead ablation at m=20, batch=16: the same
   // point served bare and with the full obs attachment (registry histograms
   // on every query + 1-in-64 sampled trace spans). The instrumented path's
   // cost is two FastNowNs stamps and two relaxed fetch_adds per query, so
@@ -415,17 +413,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Epoch-publish latency: one Update() = per-shard snapshot rebuild +
-  // cross-shard merge + the policy's BuildEpochState + epoch-cache build +
-  // atomic swap. This is also the unit cost of an online policy hot-swap
+  // Epoch-publish latency: one Update() = the diff pass + delta sort +
+  // linear merge with the previous view + the policy's BuildEpochState +
+  // atomic swap. Republishing unchanged inputs prices the diff pass and
+  // merge alone. This is also the unit cost of an online policy hot-swap
   // (a swap IS a publish carrying a different policy), so the point tracks
   // both: plain republish latency and alternating-family swap latency
-  // (selective <-> Plackett-Luce, whose swap rebuilds the alias table).
-  // `qps` is publishes per second so the regression gate applies as-is.
+  // (selective <-> Plackett-Luce, whose swap moves every pool page and
+  // rebuilds the alias table). `qps` is publishes per second so the
+  // regression gate applies as-is.
   {
     const size_t kPublishes = smoke ? 16 : 40;
     ServeOptions opts;
-    opts.shards = 8;
     opts.seed = 0x9ab5ULL;
     const auto selective =
         MakePromotionPolicy(RankPromotionConfig::Selective(0.1, 2));
@@ -443,8 +442,8 @@ int main(int argc, char** argv) {
         };
     std::vector<double> republish_us;
     std::vector<double> swap_us;
-    // Untimed warmup: the first-ever publish allocates every shard
-    // snapshot and cache; the point tracks steady-state publish latency.
+    // Untimed warmup: the first-ever publish sorts every page; the point
+    // tracks steady-state publish latency.
     std::vector<double> warmup_us;
     publish(nullptr, &warmup_us);
     for (size_t i = 0; i < kPublishes; ++i) publish(nullptr, &republish_us);
@@ -456,7 +455,6 @@ int main(int argc, char** argv) {
     const std::map<std::string, double> fields = {
         {"publishes", static_cast<double>(kPublishes)},
         {"pages", static_cast<double>(kPages)},
-        {"shards", 8.0},
         {"qps", total_us > 0.0
                     ? static_cast<double>(kPublishes) / (total_us * 1e-6)
                     : 0.0},
@@ -469,11 +467,9 @@ int main(int argc, char** argv) {
     table.Row()
         .Cell("publish")
         .Cell("")
-        .Cell(static_cast<long long>(8))
         .Cell(0.1, 2)
         .Cell("")
         .Cell("")
-        .Cell("on")
         .Cell(fields.at("qps"), 0)
         .Cell(fields.at("p50_us"), 1)
         .Cell(fields.at("p99_us"), 1)
@@ -484,13 +480,13 @@ int main(int argc, char** argv) {
   // policy's label (MakePolicyFromLabel inverts it, so tools can map a
   // bench name back to the exact policy). A family serves at full quota
   // when some path gives it O(m)-per-query prefixes — the lazy merge, or
-  // per-epoch state behind the cache (Plackett-Luce's alias table);
-  // otherwise it pays O(n) per query by design and runs a reduced quota so
-  // the sweep stays bounded, its QPS rows honest about the cost.
+  // its per-epoch state (Plackett-Luce's alias table); otherwise it pays
+  // O(n) per query by design and runs a reduced quota so the sweep stays
+  // bounded, its QPS rows honest about the cost.
   const auto policy_quota = [&](const StochasticRankingPolicy& policy,
-                                bool cache) {
+                                bool with_state) {
     const PolicyCapabilities caps = policy.Capabilities();
-    return caps.lazy_prefix || (cache && caps.epoch_state)
+    return caps.lazy_prefix || (with_state && caps.epoch_state)
                ? kQueriesPerThread
                : std::max<size_t>(200, kQueriesPerThread / 20);
   };
@@ -498,17 +494,16 @@ int main(int argc, char** argv) {
     PointConfig p;
     p.top_m = 20;
     p.policy = policy;
-    p.cache = policy->Capabilities().epoch_state;
-    p.queries_per_thread = policy_quota(*policy, p.cache);
+    p.queries_per_thread = policy_quota(*policy, true);
     const WorkloadResult res = MeasurePoint(corpus, p);
     emit("serve/policy:" + policy->Label(), p, res,
          {{"lazy_prefix", policy->Capabilities().lazy_prefix ? 1.0 : 0.0}},
          "policy", policy->Label());
   }
 
-  // Plackett-Luce alias-table ablation at m=20, S=8 on the full corpus
-  // (n=100k in the full run): `off` disables the epoch cache, so every
-  // query pays the O(n) Gumbel-max draw (the PR-3 path); `on` serves
+  // Plackett-Luce alias-table ablation at m=20 on the full corpus (n=100k
+  // in the full run): `off` withholds the epoch state, so every query pays
+  // the O(n) Gumbel-max draw (the PR-3 path); `on` serves
   // through the per-epoch alias table — O(m) expected draws per query.
   // The acceptance criterion is >= 3x QPS on this pair, recorded as
   // `speedup_vs_gumbel` and gated hardware-independently by
@@ -519,8 +514,7 @@ int main(int argc, char** argv) {
     for (const bool alias_on : {false, true}) {
       PointConfig p;
       p.top_m = 20;
-      p.policy = pl;
-      p.cache = alias_on;
+      p.policy = alias_on ? pl : std::make_shared<WithoutEpochState>(pl);
       p.queries_per_thread = policy_quota(*pl, alias_on);
       const WorkloadResult res = MeasurePoint(corpus, p);
       if (!alias_on) qps_gumbel = res.qps;
@@ -542,7 +536,6 @@ int main(int argc, char** argv) {
     PointConfig p;
     p.top_m = 20;
     p.policy = pl;
-    p.cache = true;
     p.pages = kLargePages;
     p.queries_per_thread = policy_quota(*pl, true);
     const WorkloadResult res = MeasurePoint(large, p);
@@ -550,8 +543,9 @@ int main(int argc, char** argv) {
          "n=" + std::to_string(kLargePages));
   }
 
-  // Cached-vs-uncached distribution equivalence, shipped with every perf
-  // run so the regression gate also catches statistical drift.
+  // Served-vs-reference distribution equivalence and the incremental
+  // publish's exact order, shipped with every perf run so the regression
+  // gate also catches statistical drift.
   {
     const auto fields = EquivalenceCheck(smoke ? 4000 : 20000);
     bench::RegisterCounterBenchmark("serve/equivalence", fields);
@@ -561,11 +555,9 @@ int main(int argc, char** argv) {
     table.Row()
         .Cell("equiv")
         .Cell("")
-        .Cell(static_cast<long long>(8))
         .Cell(0.3, 2)
         .Cell(static_cast<long long>(20))
         .Cell("")
-        .Cell("both")
         .Cell("")
         .Cell("")
         .Cell("")

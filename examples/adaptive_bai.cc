@@ -59,7 +59,6 @@ int main(int argc, char** argv) {
   community.m = 100;
 
   ExperimentOptions opts;
-  opts.shards = 4;
   opts.threads = 4;
   opts.top_m = 10;
   opts.queries_per_epoch = fast ? 15000 : 40000;

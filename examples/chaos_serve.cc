@@ -117,7 +117,6 @@ int main(int argc, char** argv) {
 
   obs::MetricsRegistry registry;
   ServeOptions sopts;
-  sopts.shards = 4;
   sopts.seed = 11;
   sopts.metrics = &registry;
   ShardedRankServer server(RankPromotionConfig::Selective(0.3, 2), n, sopts);

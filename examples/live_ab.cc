@@ -58,7 +58,6 @@ int main(int argc, char** argv) {
   const size_t kSwapEpoch = kEpochs / 2;  // hot-swap r=0.05 -> 0.10
 
   ExperimentOptions opts;
-  opts.shards = 8;
   opts.threads = 4;
   opts.top_m = 10;
   opts.queries_per_epoch = fast ? 20000 : 80000;

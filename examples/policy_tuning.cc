@@ -130,7 +130,6 @@ int main(int argc, char** argv) {
   Table families({"family", "policy", "click-QPC", "tail-share", "distinct"});
   for (const auto& policy : PolicyTuningGrid()) {
     ServeOptions opts;
-    opts.shards = 4;
     opts.seed = 0xfa51ULL;
     ShardedRankServer server(policy, corpus_n, opts);
     server.Update(popularity, zero, birth);

@@ -41,10 +41,9 @@ int main(int argc, char** argv) {
   const size_t kQueriesPerRound = fast ? 5000 : 50000;
   const size_t kTopM = 10;
   const size_t kThreads = 4;
-  const size_t kShards = 8;
 
-  std::cout << "serve_demo: n=" << community.n << " pages, " << kShards
-            << " shards, " << kThreads << " closed-loop workers, "
+  std::cout << "serve_demo: n=" << community.n << " pages, " << kThreads
+            << " closed-loop workers, "
             << kQueriesPerRound << " queries/round\n";
 
   for (const bool promote : {false, true}) {
@@ -56,7 +55,6 @@ int main(int argc, char** argv) {
     Rng rng(2026);
     ServingPageState state = MakeServingPageState(community, rng);
     ServeOptions opts;
-    opts.shards = kShards;
     opts.seed = 7;
     ShardedRankServer server(config, community.n, opts);
 

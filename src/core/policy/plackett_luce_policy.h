@@ -29,7 +29,7 @@ namespace randrank {
 ///    past it the query falls back to Gumbel-max over the not-yet-served
 ///    pages, keeping the worst case at the old O(n log n) instead of an
 ///    unbounded rejection loop. This is why the family now declares the
-///    `epoch_state` capability and rides the snapshot-pinned cached path.
+///    `epoch_state` capability; the server builds the table per epoch.
 ///  * **Gumbel-max path** (shard views, or no epoch state): one perturbed
 ///    key per page, top-m keys descending — O(n) per query, kept as the
 ///    stateless reference fast path and the `serve/pl_alias:off` ablation.

@@ -49,9 +49,8 @@ size_t PromotionPolicy::ServeSharded(const ShardView* views, size_t num_views,
   const size_t base = out->size();
 
   // Next element of the global deterministic order: the best head among the
-  // views' sorted lists under the global key (BestViewHead — the same
-  // interleave the epoch cache's merge performs). Linear scan over V; the
-  // shard count is small on purpose.
+  // views' sorted lists under the global key (BestViewHead). Linear scan
+  // over V; the view count is small on purpose.
   auto next_det = [&]() -> uint32_t {
     const size_t best = BestViewHead(views, scratch.cursors.data(), num_views);
     assert(best < num_views);

@@ -20,10 +20,8 @@ namespace randrank {
 /// knowledge. The serving, simulation, and model layers consult this
 /// descriptor instead of switching on a concrete type:
 ///
-///  * `ShardedRankServer` materializes the per-epoch pre-merged global view
-///    (and the policy's `BuildEpochState` product) only when `epoch_state`
-///    is set and otherwise serves every query through the per-query sharded
-///    path;
+///  * `ShardedRankServer` serves every family from one published global
+///    view plus the policy's `BuildEpochState` product;
 ///  * `Ranker::PageAtRank` uses the O(rank) lazy cascade only under
 ///    `lazy_prefix` and falls back to a prefix realization otherwise;
 ///  * `AgentSimulator` / `MeanFieldModel` reject families whose
@@ -37,8 +35,7 @@ struct PolicyCapabilities {
   /// global deterministic order + pool, and whatever `BuildEpochState`
   /// derives from them (the promotion family's protected-prefix splice
   /// state, Plackett-Luce's alias table, epsilon-tail's cached head) — may
-  /// be materialized once per epoch and reused by every query. Generalizes
-  /// the old promotion-only `epoch_prefix_cache` bit.
+  /// be materialized once per epoch and reused by every query.
   bool epoch_state = false;
   /// A multi-shard realization reproduces the unsharded law exactly.
   bool sharded_merge = false;
@@ -51,8 +48,8 @@ struct PolicyCapabilities {
 /// A borrowed, immutable view of one shard's ranking state: the
 /// deterministically ordered pages (best first, with their scores kept
 /// alongside for weighted families and cross-shard interleaving) plus the
-/// stochastic pool. The serve layer builds these from `RankSnapshot`s or
-/// from the per-epoch cache; the core layer builds one from a `Ranker`.
+/// stochastic pool. The serve layer builds one from its published
+/// `ServingView`; the core layer builds one from a `Ranker`.
 /// All arrays are borrowed — the owner must outlive the view.
 struct ShardView {
   const uint32_t* det = nullptr;
@@ -86,9 +83,9 @@ class PolicyEpochState {
 /// serving thread; a scratch must not be shared between concurrent calls.
 /// Policies use the subset they need and leave the rest untouched.
 struct PolicyScratch {
-  /// Per-shard pool samplers (promotion family, uncached path).
+  /// Per-view pool samplers (promotion family, multi-view path).
   std::vector<PoolPrefixSampler> samplers;
-  /// Single global-pool sampler (promotion family, cached path).
+  /// Single global-pool sampler (promotion family, single view).
   PoolPrefixSampler pool_sampler;
   /// Per-shard deterministic-list cursors.
   std::vector<size_t> cursors;
@@ -109,8 +106,7 @@ struct PolicyScratch {
 ///
 /// Contract: `ServePrefix` over several ShardViews that together partition
 /// the corpus must realize exactly the same distribution as over the single
-/// pre-merged global view, with or without the epoch state (the serve layer
-/// switches between the paths freely, per `Capabilities().epoch_state`).
+/// pre-merged global view, with or without the epoch state.
 /// Every realization drawn with the same policy over the same state is
 /// independent given `rng`.
 class StochasticRankingPolicy {
@@ -129,11 +125,11 @@ class StochasticRankingPolicy {
 
   /// Partition hook (subsumes PromoteToPool): whether a page with the given
   /// zero-awareness flag enters the stochastic pool Pp rather than the
-  /// deterministic list Ld. Single source of truth — Ranker::Update,
-  /// RankSnapshot::Build, and the simulator's ghost placement all consult
-  /// it, or sharded serving silently diverges from the simulated
-  /// distribution. Must draw from `rng` a per-page-deterministic number of
-  /// times (zero for most families).
+  /// deterministic list Ld. Single source of truth — Ranker::Update, the
+  /// server's EpochBuilder, and the simulator's ghost placement all consult
+  /// it, or serving silently diverges from the simulated distribution. Must
+  /// draw from `rng` a per-page-deterministic number of times (zero for
+  /// most families).
   virtual bool PoolMembership(bool zero_awareness, Rng& rng) const = 0;
 
   /// Leading slots of the realization that are always filled from the
@@ -156,7 +152,7 @@ class StochasticRankingPolicy {
   /// global view, or returns null when the family keeps none (the default —
   /// correct for families whose epoch-invariant state is exactly the merged
   /// view itself, like the promotion splice). Called once per
-  /// Ranker::Update / RankSnapshot::Build / epoch publish, never on the
+  /// Ranker::Update / epoch publish, never on the
   /// query path, and must not draw randomness (epoch state is a
   /// deterministic function of the ranking state). The returned object obeys
   /// the PolicyEpochState contract: self-contained and immutable.
@@ -169,13 +165,13 @@ class StochasticRankingPolicy {
   /// Appends the first min(m, n) slots of a fresh realization over the
   /// given shard views — which together hold the complete corpus — and
   /// returns how many were appended. A single view is the pre-merged global
-  /// state (the cached serve path and the Ranker); several views require
-  /// the policy to interleave them per the global law (the per-query
-  /// sharded path). `epoch_state` is either null or the product of this
-  /// policy's BuildEpochState over exactly the single global view being
-  /// served (never over a different epoch's view — the owner of the view
-  /// owns its state); policies with no state ignore it. `scratch` is
-  /// caller-owned and reused across queries.
+  /// state (the server's published view and the Ranker); several views
+  /// require the policy to interleave them per the global law.
+  /// `epoch_state` is either null or the product of this policy's
+  /// BuildEpochState over exactly the single global view being served
+  /// (never over a different epoch's view — the owner of the view owns its
+  /// state); policies with no state ignore it. `scratch` is caller-owned and
+  /// reused across queries.
   virtual size_t ServePrefix(const ShardView* views, size_t num_views,
                              const PolicyEpochState* epoch_state,
                              PolicyScratch& scratch, size_t m, Rng& rng,
@@ -198,8 +194,8 @@ class StochasticRankingPolicy {
 /// One step of the V-way deterministic interleave over ShardViews: the index
 /// of the view whose det-list head (at its cursor) is next under the global
 /// sort key RankOrderBefore, or `num_views` when every list is exhausted.
-/// The ShardView twin of BestDetHead (serve/rank_snapshot.h) — both must
-/// interleave identically or the cached order diverges from the served one.
+/// Multi-view realizations interleave through it so they reproduce the
+/// single-view order exactly.
 size_t BestViewHead(const ShardView* views, const size_t* cursors,
                     size_t num_views);
 

@@ -71,7 +71,7 @@ size_t MergePrefix(const RankPromotionConfig& config,
 /// Cache-aware core of MergePrefix: splices the randomized tail onto an
 /// *already merged* deterministic order (`det`, best first) using a
 /// caller-owned sampler over the pool. The caller pays for the deterministic
-/// merge once (e.g. per serving epoch, see serve/epoch_prefix_cache.h) and
+/// merge once (e.g. per serving epoch, see serve/serving_view.h) and
 /// every query is then the protected-prefix copy plus O(m) tail work.
 ///
 /// `sampler` must be Reset() over the pool before each call; it is consumed

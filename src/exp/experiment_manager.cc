@@ -71,8 +71,6 @@ ExperimentManager::ExperimentManager(const CommunityParams& community,
   arm_states_.reserve(arms.size());
   for (size_t a = 0; a < arms.size(); ++a) {
     ServeOptions sopts;
-    sopts.shards = opts_.shards;
-    sopts.enable_prefix_cache = opts_.enable_prefix_cache;
     sopts.seed = SplitMix64(&mix) + a;
     sopts.metrics = opts_.metrics;
     sopts.trace = opts_.trace;
@@ -249,7 +247,7 @@ void ExperimentManager::ServeEpochTraffic() {
 void ExperimentManager::PublishEpoch() {
   for (ArmState& arm : arm_states_) {
     // A pending hot-swap rides the epoch publish: the new policy, its
-    // ranking state, and its epoch cache swap in as one atomic unit.
+    // ranking state, and its epoch state swap in as one atomic unit.
     std::shared_ptr<const StochasticRankingPolicy> swap =
         std::move(arm.pending_policy);
     arm.pending_policy = nullptr;

@@ -32,8 +32,6 @@ struct ArmSpec {
 struct ExperimentOptions {
   /// Traffic fractions per arm. Leave `fractions` empty for an even split.
   TrafficSplit split;
-  /// Serving shards per arm's ShardedRankServer.
-  size_t shards = 4;
   /// Results per query (the served "page one").
   size_t top_m = 10;
   /// Queries routed across the arms per epoch.
@@ -42,8 +40,6 @@ struct ExperimentOptions {
   size_t threads = 1;
   /// Rank->visit bias exponent of the click model (paper Eq. 4).
   double rank_bias_exponent = 1.5;
-  /// Per-arm ServeOptions::enable_prefix_cache.
-  bool enable_prefix_cache = true;
   /// Route each arm's queries through a per-arm BatchQueue (async MPSC
   /// consumer) instead of calling ServeTopM inline: results come from the
   /// queue consumer's own serving context, so policy hot-swaps are exercised

@@ -158,7 +158,9 @@ constexpr uint64_t Hash(std::string_view s) {
 
 namespace internal {
 /// The process-global injector (null = everything disabled). Installed by
-/// ScopedFaultInjector / InstallFaultInjector; sites read it relaxed — a
+/// ScopedFaultInjector / InstallFaultInjector; sites read it with acquire,
+/// pairing with the install, so a site that sees an injector also sees it
+/// constructed (on x86 the load is the same plain move as a relaxed one). A
 /// site may see an install/uninstall one hit late, which is fine for fault
 /// schedules.
 extern std::atomic<FaultInjector*> g_injector;
@@ -177,7 +179,7 @@ inline FaultInjector* ActiveFaultInjector() {
 inline bool Check(std::string_view point, uint64_t point_hash, uint64_t epoch,
                   Decision* out) {
   FaultInjector* injector =
-      internal::g_injector.load(std::memory_order_relaxed);
+      internal::g_injector.load(std::memory_order_acquire);
   if (injector == nullptr) return false;
   return injector->Evaluate(point_hash, point, epoch, out);
 }

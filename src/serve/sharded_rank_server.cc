@@ -1,14 +1,13 @@
 #include "serve/sharded_rank_server.h"
 
-#include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <stdexcept>
 
 #include "core/policy/promotion_policy.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/epoch_prefix_cache.h"
 
 namespace randrank {
 
@@ -35,14 +34,10 @@ ShardedRankServer::ShardedRankServer(
       initial_policy_(policy_),
       n_(num_pages),
       opts_(options),
+      builder_(num_pages),
       writer_rng_(Rng::ForStream(options.seed, 0)),
       visit_counts_(num_pages, 0) {
   assert(policy_ != nullptr && policy_->Valid());
-  const size_t shards = std::max<size_t>(1, opts_.shards);
-  shard_pages_.resize(std::min(shards, std::max<size_t>(1, num_pages)));
-  for (uint32_t p = 0; p < num_pages; ++p) {
-    shard_pages_[p % shard_pages_.size()].push_back(p);
-  }
   if (opts_.metrics != nullptr) {
     // Failure-path endpoints are resolved (and the gauges zeroed) up front,
     // so a scrape sees them before any publish has failed.
@@ -51,6 +46,10 @@ ShardedRankServer::ShardedRankServer(
     degraded_gauge_ = &opts_.metrics->GetGauge(opts_.obs_prefix + "/degraded");
     stale_epochs_gauge_ =
         &opts_.metrics->GetGauge(opts_.obs_prefix + "/epochs_since_publish");
+    changed_pages_gauge_ = &opts_.metrics->GetGauge(
+        opts_.obs_prefix + "/publish_changed_pages");
+    epoch_bytes_gauge_ =
+        &opts_.metrics->GetGauge(opts_.obs_prefix + "/epoch_bytes");
     degraded_gauge_->Set(0.0);
     stale_epochs_gauge_->Set(0.0);
   }
@@ -72,27 +71,17 @@ const RankPromotionConfig& ShardedRankServer::config() const {
   return *config;
 }
 
-bool ShardedRankServer::PrefixCacheActive() const {
-  const std::shared_ptr<const ServingView> view = store_.Load(nullptr);
-  return view != nullptr && view->cache != nullptr;
-}
-
 bool ShardedRankServer::Update(const std::vector<double>& popularity,
                                const std::vector<uint8_t>& zero_awareness,
-                               const std::vector<int64_t>& birth_step,
-                               ThreadPool* pool) {
-  return Update(popularity, zero_awareness, birth_step, nullptr, pool);
+                               const std::vector<int64_t>& birth_step) {
+  return Update(popularity, zero_awareness, birth_step, nullptr);
 }
 
 bool ShardedRankServer::Update(
     const std::vector<double>& popularity,
     const std::vector<uint8_t>& zero_awareness,
     const std::vector<int64_t>& birth_step,
-    std::shared_ptr<const StochasticRankingPolicy> new_policy,
-    ThreadPool* pool) {
-  assert(popularity.size() == n_);
-  assert(zero_awareness.size() == n_);
-  assert(birth_step.size() == n_);
+    std::shared_ptr<const StochasticRankingPolicy> new_policy) {
   using Clock = std::chrono::steady_clock;
   const bool tracing = opts_.trace != nullptr;
   const Clock::time_point publish_start = Clock::now();
@@ -118,57 +107,53 @@ bool ShardedRankServer::Update(
     auto view = std::make_shared<ServingView>();
     view->epoch = epoch;
     view->policy = policy_;
-    view->shards.resize(shard_pages_.size());
 
-    // Fault site: abort (kFail) or slow (kDelay) the shard-build phase.
+    // Fault site: abort (kFail) or slow (kDelay) the diff phase.
     fault::CheckAbortable(fault::kPublishShards,
                           fault::Hash(fault::kPublishShards), epoch);
+    // Validate + diff against the committed copy + sort the changed det
+    // pages. A hot-swap needs nothing special: membership is re-derived
+    // under the new policy, and the pages it moves are part of the delta.
+    const Clock::time_point diff_start = Clock::now();
+    const size_t changed = builder_.Diff(*policy_, popularity, zero_awareness,
+                                         birth_step, writer_rng_);
+    const Clock::time_point diff_done = Clock::now();
 
-    // Each shard build gets a forked rng so parallel builds stay independent
-    // and the build is deterministic given the writer stream.
-    std::vector<Rng> build_rngs;
-    build_rngs.reserve(shard_pages_.size());
-    for (size_t s = 0; s < shard_pages_.size(); ++s) {
-      build_rngs.push_back(writer_rng_.Fork());
+    fault::CheckAbortable(fault::kPublishMerge,
+                          fault::Hash(fault::kPublishMerge), epoch);
+    {
+      // The base is the view being served. Drop the reference straight
+      // after: once the swap below retires it, its last reader frees it,
+      // off the writer's path.
+      const std::shared_ptr<const ServingView> prev = store_.Load(nullptr);
+      builder_.Merge(prev.get(), view.get());
     }
+    const Clock::time_point merge_done = Clock::now();
 
-    auto build_shard = [&](size_t s) {
-      // Per-shard epoch state is skipped: server queries consume only the
-      // EpochPrefixCache's global state (cached path) or none (per-query
-      // path), never a shard-local one.
-      view->shards[s] = RankSnapshot::Build(
-          policy_, epoch, shard_pages_[s], popularity, zero_awareness,
-          birth_step, build_rngs[s], /*build_epoch_state=*/false);
-    };
-    const Clock::time_point shards_start = Clock::now();
-    if (pool != nullptr && shard_pages_.size() > 1) {
-      ParallelFor(*pool, shard_pages_.size(), build_shard);
-    } else {
-      for (size_t s = 0; s < shard_pages_.size(); ++s) build_shard(s);
+    // Policy-owned per-epoch state over the finished view (promotion's is
+    // the view itself; Plackett-Luce builds its alias table here).
+    fault::CheckAbortable(fault::kPublishEpochState,
+                          fault::Hash(fault::kPublishEpochState), epoch);
+    view->policy_state = policy_->BuildEpochState(view->AsView());
+    const Clock::time_point epoch_state_done = Clock::now();
+#if !defined(NDEBUG) || defined(RANDRANK_EPOCH_CHECKS)
+    if (const std::string broken =
+            CheckEpochInvariants(*view, zero_awareness, birth_step);
+        !broken.empty()) {
+      throw std::logic_error("epoch invariant: " + broken);
     }
-    const Clock::time_point shards_done = Clock::now();
+#endif
 
-    // The cache participates only when the policy declares the epoch_state
-    // capability: the materialized global merge order plus whatever the
-    // policy's BuildEpochState derives from it (promotion's splice inputs,
-    // Plackett-Luce's alias table, epsilon-tail's cached head). Families
-    // without it fall back to the per-query sharded path. Carries the
-    // publish.merge / publish.epoch_state fault sites internally.
-    EpochPrefixCache::BuildPhaseTimings cache_timings;
-    if (opts_.enable_prefix_cache && policy_->Capabilities().epoch_state) {
-      view->cache =
-          EpochPrefixCache::Build(*view, tracing ? &cache_timings : nullptr);
-    }
-    const bool cached = view->cache != nullptr;
-
-    view->obs = BuildObsHooks(cached);
+    view->obs = BuildObsHooks();
     // Fault site: the last abort point before the irreversible RCU swap —
     // past here the epoch is published and cannot roll back by design.
     fault::CheckAbortable(fault::kPublishRcu, fault::Hash(fault::kPublishRcu),
                           epoch);
     const Clock::time_point rcu_start = Clock::now();
+    const size_t epoch_bytes = view->bytes();
     store_.Publish(std::move(view));
     epoch_.store(epoch, std::memory_order_release);
+    builder_.Commit();
     const Clock::time_point publish_done = Clock::now();
 
     if (failed_since_success_.load(std::memory_order_relaxed) != 0) {
@@ -190,24 +175,26 @@ bool ShardedRankServer::Update(
       opts_.metrics->GetCounter(opts_.obs_prefix + "/publishes").Add();
       opts_.metrics->GetGauge(opts_.obs_prefix + "/epoch")
           .Set(static_cast<double>(epoch));
+      changed_pages_gauge_->Set(static_cast<double>(changed));
+      epoch_bytes_gauge_->Set(static_cast<double>(epoch_bytes));
     }
     if (tracing) {
       // Per-phase publish spans, one line each, always emitted (publishes are
-      // rare): shard re-sort, merge + BuildEpochState (zero-duration when the
-      // cache is off), the policy swap when one rode this publish, the RCU
-      // pointer swap, and the whole publish as the parent span.
+      // rare): diff + delta sort ("shards", the name kept for existing
+      // readers), the linear merge, BuildEpochState, the policy swap when
+      // one rode this publish, the RCU pointer swap with the commit, and the
+      // whole publish as the parent span.
       const auto e = static_cast<double>(epoch);
-      const auto s = static_cast<double>(shard_pages_.size());
+      const auto c = static_cast<double>(changed);
       const double sw = swapping ? 1.0 : 0.0;
       obs::TraceLog& trace = *opts_.trace;
-      trace.EmitSpan("publish/shards", MicrosBetween(shards_start, shards_done),
-                     {{"epoch", e}, {"shards", s}});
-      if (cached) {
-        trace.EmitSpan("publish/merge", cache_timings.merge_us,
-                       {{"epoch", e}, {"shards", s}});
-        trace.EmitSpan("publish/epoch_state", cache_timings.epoch_state_us,
-                       {{"epoch", e}});
-      }
+      trace.EmitSpan("publish/shards", MicrosBetween(diff_start, diff_done),
+                     {{"epoch", e}, {"changed", c}});
+      trace.EmitSpan("publish/merge", MicrosBetween(diff_done, merge_done),
+                     {{"epoch", e}});
+      trace.EmitSpan("publish/epoch_state",
+                     MicrosBetween(merge_done, epoch_state_done),
+                     {{"epoch", e}});
       if (swapping) {
         trace.EmitSpan("publish/policy_swap", swap_us, {{"epoch", e}},
                        {{"family", FamilySlug(policy_->Label())}});
@@ -217,16 +204,17 @@ bool ShardedRankServer::Update(
       trace.EmitSpan("publish/total",
                      MicrosBetween(publish_start, publish_done),
                      {{"epoch", e},
-                      {"shards", s},
-                      {"swap", sw},
-                      {"cached", cached ? 1.0 : 0.0}},
+                      {"changed", c},
+                      {"bytes", static_cast<double>(epoch_bytes)},
+                      {"swap", sw}},
                      {{"family", FamilySlug(policy_->Label())}});
     }
     return true;
   } catch (const std::exception& ex) {
-    // Transactional rollback: nothing was published (store_ and epoch_ are
-    // only touched after the last abortable site), so readers keep serving
-    // the previous snapshot bit-identically. A policy swap that rode this
+    // Transactional rollback: nothing was published (store_, epoch_ and the
+    // builder's committed copy are only touched after the last abortable
+    // site), so readers keep serving the previous view bit-identically and
+    // the next publish diffs against it. A policy swap that rode this
     // failed publish is undone too — it never became observable.
     if (swapping) policy_ = prev_policy;
     publish_failures_.fetch_add(1, std::memory_order_relaxed);
@@ -248,16 +236,12 @@ bool ShardedRankServer::Update(
   }
 }
 
-std::shared_ptr<const ServeObsHooks> ShardedRankServer::BuildObsHooks(
-    bool cached) const {
+std::shared_ptr<const ServeObsHooks> ShardedRankServer::BuildObsHooks() const {
   if (opts_.metrics == nullptr) return nullptr;
   auto hooks = std::make_shared<ServeObsHooks>();
-  hooks->cached = cached;
-  hooks->fanout = static_cast<double>(shard_pages_.size());
   hooks->family = FamilySlug(policy_->Label());
-  hooks->latency = &opts_.metrics->GetHistogram(
-      opts_.obs_prefix + "/latency_ns/" + (cached ? "cached/" : "sharded/") +
-      hooks->family);
+  hooks->latency = &opts_.metrics->GetHistogram(opts_.obs_prefix +
+                                                "/latency_ns/" + hooks->family);
   hooks->queries = &opts_.metrics->GetCounter(opts_.obs_prefix + "/queries");
   hooks->slots = &opts_.metrics->GetCounter(opts_.obs_prefix + "/slots");
   if (opts_.trace != nullptr && opts_.trace->sample_every() > 0) {
@@ -275,10 +259,6 @@ ShardedRankServer::Context ShardedRankServer::CreateContext() const {
       1 + context_seq_.fetch_add(1, std::memory_order_relaxed);
   ctx.rng_ = Rng::ForStream(opts_.seed, stream);
   ctx.visit_batch_.reserve(opts_.feedback_batch);
-  const size_t shards = shard_pages_.size();
-  ctx.views_.reserve(shards);
-  ctx.scratch_.samplers.reserve(shards);
-  ctx.scratch_.cursors.reserve(shards);
   return ctx;
 }
 
@@ -327,9 +307,7 @@ size_t ShardedRankServer::ServeBatch(Context& ctx, QueryBatch* batch) const {
                            {{"epoch", static_cast<double>(view->epoch)},
                             {"m", static_cast<double>(batch->m)},
                             {"queries", static_cast<double>(queries)},
-                            {"served", static_cast<double>(total)},
-                            {"cached", hooks->cached ? 1.0 : 0.0},
-                            {"fanout", hooks->fanout}},
+                            {"served", static_cast<double>(total)}},
                            {{"family", hooks->family}});
   }
   return total;
@@ -354,9 +332,7 @@ size_t ShardedRankServer::ServeOne(Context& ctx, const ServingView& view,
                            static_cast<double>(service_ns) * 1e-3,
                            {{"epoch", static_cast<double>(view.epoch)},
                             {"m", static_cast<double>(m)},
-                            {"served", static_cast<double>(served)},
-                            {"cached", hooks->cached ? 1.0 : 0.0},
-                            {"fanout", hooks->fanout}},
+                            {"served", static_cast<double>(served)}},
                            {{"family", hooks->family}});
   }
   return served;
@@ -365,9 +341,9 @@ size_t ShardedRankServer::ServeOne(Context& ctx, const ServingView& view,
 size_t ShardedRankServer::ServeUninstrumented(
     Context& ctx, const ServingView& view, size_t m,
     std::vector<uint32_t>* out) const {
-  // Hot-path fault site, delay-only (slow-shard simulation) — queries are
+  // Hot-path fault site, delay-only (slow-server simulation) — queries are
   // never failed here, so a chaos run's answers stay correct. Disabled cost
-  // is one relaxed load + branch; an armed-but-inert injector adds a single
+  // is one atomic load + branch; an armed-but-inert injector adds a single
   // mask test. Both are priced by bench/perf_fault and gated <= 1% in
   // check_bench.py.
   {
@@ -379,27 +355,14 @@ size_t ShardedRankServer::ServeUninstrumented(
   }
   // Dispatch through the policy the pinned view was built with — not any
   // server-level member — so a concurrent hot-swap Update can never pair a
-  // query with a policy that mismatches its ranking state.
-  const StochasticRankingPolicy& policy = *view.policy;
-  const EpochPrefixCache* cache = view.cache.get();
-  if (cache != nullptr) {
-    // Cached path: the cross-shard deterministic merge, the global pool,
-    // and the policy's per-epoch state were materialized once when this
-    // epoch was published; the policy realizes against the single
-    // pre-merged global view (promotion: protected-prefix copy + O(m)
-    // splice; Plackett-Luce: O(m) expected alias draws; epsilon-tail:
-    // head memcpy + explored slots only).
-    const ShardView global = cache->AsView();
-    return policy.ServePrefix(&global, 1, cache->policy_state.get(),
-                              ctx.scratch_, m, ctx.rng_, out);
-  }
-  // Per-query path: the policy realizes directly over the shard views,
-  // with no per-epoch state.
-  const size_t shards = view.shards.size();
-  ctx.views_.resize(shards);
-  for (size_t s = 0; s < shards; ++s) ctx.views_[s] = view.shards[s]->AsView();
-  return policy.ServePrefix(ctx.views_.data(), shards, nullptr, ctx.scratch_,
-                            m, ctx.rng_, out);
+  // query with a policy that mismatches its ranking state. The global order,
+  // pool and policy state were materialized once at publish, so this is the
+  // per-query realization only (promotion: protected-prefix copy + O(m)
+  // splice; Plackett-Luce: O(m) expected alias draws; epsilon-tail: head
+  // memcpy + explored slots only).
+  const ShardView global = view.AsView();
+  return view.policy->ServePrefix(&global, 1, view.policy_state.get(),
+                                  ctx.scratch_, m, ctx.rng_, out);
 }
 
 void ShardedRankServer::RecordVisit(Context& ctx, uint32_t page) {

@@ -11,10 +11,9 @@
 #include "core/policy/stochastic_ranking_policy.h"
 #include "core/rank_merge.h"
 #include "core/ranking_policy.h"
-#include "serve/rank_snapshot.h"
+#include "serve/serving_view.h"
 #include "serve/snapshot_store.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace randrank {
 
@@ -27,37 +26,25 @@ class TraceLog;
 }  // namespace obs
 
 struct ServeOptions {
-  /// Number of shards pages are partitioned across (page p lives on shard
-  /// p % shards). 0 selects 1.
-  size_t shards = 4;
   /// Visits buffered per context before RecordVisit folds them into the
   /// shared feedback counters (amortizes the feedback lock).
   size_t feedback_batch = 256;
   /// Base seed; each serving context gets its own non-overlapping stream.
   uint64_t seed = 0x5eedULL;
-  /// Build an EpochPrefixCache per published ServingView: the cross-shard
-  /// deterministic merge (and the policy's BuildEpochState product — e.g.
-  /// Plackett-Luce's alias table) runs once per epoch instead of once per
-  /// query, and the serve path becomes O(m) work independent of the shard
-  /// count. Off reproduces the per-query sharded path (kept for ablation;
-  /// both paths realize exactly the MaterializeList distribution).
-  /// Effective only when the policy's Capabilities() also declare
-  /// epoch_state; otherwise every query takes the per-query path regardless.
-  bool enable_prefix_cache = true;
   /// Observability (optional, borrowed — the registry/trace must outlive the
   /// server). With `metrics` set, every query records its true service time
   /// into a per-epoch-resolved log-bucketed histogram
-  /// `<obs_prefix>/latency_ns/<cached|sharded>/<family>` (split by cache
-  /// branch and policy family), publishes record into
-  /// `<obs_prefix>/publish_ns`, and counters/gauges under `<obs_prefix>/`
-  /// track queries, slots, publishes, and the live epoch. Null (default)
-  /// keeps the hot path identical to the uninstrumented server except for
-  /// one pointer test per query.
+  /// `<obs_prefix>/latency_ns/<family>` (split by policy family), publishes
+  /// record into `<obs_prefix>/publish_ns`, and counters/gauges under
+  /// `<obs_prefix>/` track queries, slots, publishes, the live epoch, the
+  /// pages each publish changed, and the bytes the epoch holds. Null
+  /// (default) keeps the hot path identical to the uninstrumented server
+  /// except for one pointer test per query.
   obs::MetricsRegistry* metrics = nullptr;
-  /// With `trace` also set, Update() emits epoch-publish phase spans (shard
-  /// re-sort, merge, BuildEpochState, policy swap, RCU publish) and the
-  /// query path emits sampled per-query spans (service time, cache branch,
-  /// policy family, shard fan-out) at the TraceLog's sample_every stride.
+  /// With `trace` also set, Update() emits epoch-publish phase spans (diff
+  /// and delta sort, merge, BuildEpochState, policy swap, RCU publish) and
+  /// the query path emits sampled per-query spans (service time, policy
+  /// family) at the TraceLog's sample_every stride.
   obs::TraceLog* trace = nullptr;
   /// Metric-name prefix, so several servers (e.g. experiment arms) can share
   /// one registry without colliding.
@@ -75,9 +62,7 @@ struct ServeObsHooks {
   obs::TraceLog* trace = nullptr;  // null when tracing is off
   /// Per-context span sampling stride (TraceLog's sample_every); 0 = never.
   uint64_t sample_every = 0;
-  /// Span attributes, fixed for the epoch.
-  bool cached = false;
-  double fanout = 1.0;
+  /// Span attribute, fixed for the epoch.
   std::string family;
 };
 
@@ -105,34 +90,29 @@ struct QueryBatch {
 /// the policy supports it.
 ///
 /// Concurrency model — single writer, many readers:
-///  * Pages are partitioned across S shards. The writer thread calls
-///    Update() with new page state; it rebuilds every shard's RankSnapshot
-///    off the serving path (optionally in parallel on a ThreadPool) and then
-///    publishes all of them as one ServingView in a single atomic swap, so
-///    queries are snapshot-isolated across shards: a query never mixes
-///    ranking state from two different epochs.
+///  * The writer thread calls Update() with new page state; it builds the
+///    next ServingView off the serving path, incrementally from the last
+///    published one (see EpochBuilder), and publishes it in a single atomic
+///    swap, so a query never mixes ranking state from two epochs.
 ///  * Each serving thread owns a Context (per-thread Rng stream, cached
-///    snapshot handle, merge scratch, feedback batch). The query hot path
+///    view handle, policy scratch, feedback batch). The query hot path
 ///    performs one atomic version check and otherwise touches only
-///    immutable snapshot data and context-local scratch — no locks.
+///    immutable view data and context-local scratch — no locks.
 ///  * Observed result clicks flow back through RecordVisit(); the writer
 ///    drains the aggregated per-page counts with DrainVisits() and folds
 ///    them into popularity/awareness for the next Update (see
 ///    serve/feedback.h), closing the simulate → serve loop.
 ///
-/// Distribution guarantee: ServeTopM over S shards is distributed exactly as
-/// the first m slots of Ranker::MaterializeList over the same global page
-/// state, for every policy family. With the per-epoch prefix cache (default,
-/// taken iff the policy's Capabilities() permit it) queries realize against
-/// the cached pre-merged global view; with the cache absent the policy
-/// realizes directly over the S shard views (for the promotion family: an
-/// S-way interleave on the global sort key plus shard-mass-weighted pool
-/// draws) — both are precisely the MaterializeList prefix law.
+/// Distribution guarantee: ServeTopM is distributed exactly as the first m
+/// slots of Ranker::MaterializeList over the same global page state, for
+/// every policy family: queries realize through the policy's single-view
+/// ServePrefix against the published view and its epoch state.
 ///
-/// Amortization layers on the read path: (1) the EpochPrefixCache makes
-/// per-query cost O(m) independent of S, (2) ServeBatch answers B queries
-/// per view pin, and (3) serve/batch_queue.h pipelines many in-flight
-/// queries from arbitrary producer threads into ServeBatch calls.
+/// Amortization layers on the read path: (1) the per-epoch view and policy
+/// state make per-query cost O(m) for the lazy families, (2) ServeBatch
+/// answers B queries per view pin, and (3) serve/batch_queue.h pipelines
+/// many in-flight queries from arbitrary producer threads into ServeBatch
+/// calls.
 class ShardedRankServer {
  public:
   /// A serving thread's private state. Create one per worker via
@@ -152,10 +132,8 @@ class ShardedRankServer {
     /// Queries this context has served with observability on; drives the
     /// deterministic 1-in-sample_every trace sampling stride.
     uint64_t obs_seq_ = 0;
-    // Per-query policy scratch and borrowed shard views, reused across
-    // queries to avoid allocation.
+    // Per-query policy scratch, reused across queries to avoid allocation.
     PolicyScratch scratch_;
-    std::vector<ShardView> views_;
   };
 
   /// Serves the given ranking-policy family.
@@ -169,41 +147,46 @@ class ShardedRankServer {
 
   // --- Writer API (one thread at a time) ---
 
-  /// Rebuilds every shard snapshot from global page state and publishes them
-  /// as one new epoch. Safe to call while readers are serving. When `pool`
-  /// is non-null the per-shard builds run on it in parallel.
+  /// Builds the next epoch from global page state and publishes it. Safe
+  /// to call while readers are serving. The build is incremental: one pass
+  /// diffs the inputs against the last published epoch's, only the changed
+  /// pages are sorted, and one linear merge with the previous view yields
+  /// the new one (EpochBuilder).
+  ///
+  /// Inputs must hold n entries each, with every popularity finite and
+  /// >= 0; anything else is rejected as a failed publish whose reason is
+  /// the `publish/aborted` span's.
   ///
   /// Transactional: the publish either completes (returns true) or rolls
-  /// back completely (returns false) — a failure in any build phase (shard
-  /// re-sort, merge, epoch state, or an injected fault at the RCU boundary)
-  /// leaves the previous epoch serving untouched, the epoch counter
-  /// unadvanced, and (for a hot-swap Update) the previous policy in place
-  /// for the next attempt. Failed attempts are counted in
-  /// `<obs_prefix>/publish_failures` and tracked by epochs_since_publish();
-  /// the next successful Update clears the degraded state.
+  /// back completely (returns false) — bad input or a failure in any build
+  /// phase (diff, merge, epoch state, or an injected fault at the RCU
+  /// boundary) leaves the previous epoch serving untouched, the epoch
+  /// counter unadvanced, the incremental base at the last published epoch,
+  /// and (for a hot-swap Update) the previous policy in place for the next
+  /// attempt. Failed attempts are counted in `<obs_prefix>/publish_failures`
+  /// and tracked by epochs_since_publish(); the next successful Update
+  /// clears the degraded state.
   bool Update(const std::vector<double>& popularity,
               const std::vector<uint8_t>& zero_awareness,
-              const std::vector<int64_t>& birth_step,
-              ThreadPool* pool = nullptr);
+              const std::vector<int64_t>& birth_step);
 
   /// Policy hot-swap: like Update, but the new epoch is ranked and served
   /// under `new_policy` (which becomes the server's policy for every later
   /// Update too). The swap is published atomically with the epoch — the
-  /// snapshots, the epoch cache (rebuilt iff the *new* policy's capabilities
-  /// allow), and the policy itself swap in as one ServingView, so a query
-  /// pinned to the old view keeps realizing under the old policy and a query
-  /// pinned to the new one under the new: no query is ever dropped, and none
-  /// is served by a policy that mismatches its ranking state. This is the
-  /// online A/B ramp primitive the experiment layer (src/exp/) builds on.
-  /// Passing null keeps the current policy (== the 4-arg overload).
-  /// Transactional like the 4-arg overload; a failed hot-swap publish also
+  /// ranking state, the new policy's epoch state, and the policy itself
+  /// swap in as one ServingView, so a query pinned to the old view keeps
+  /// realizing under the old policy and a query pinned to the new one under
+  /// the new: no query is ever dropped, and none is served by a policy that
+  /// mismatches its ranking state. This is the online A/B ramp primitive
+  /// the experiment layer (src/exp/) builds on.
+  /// Passing null keeps the current policy (== the 3-arg overload).
+  /// Transactional like the 3-arg overload; a failed hot-swap publish also
   /// rolls the pending policy back, so no later Update publishes under a
   /// policy that never made it to an epoch.
   bool Update(const std::vector<double>& popularity,
               const std::vector<uint8_t>& zero_awareness,
               const std::vector<int64_t>& birth_step,
-              std::shared_ptr<const StochasticRankingPolicy> new_policy,
-              ThreadPool* pool = nullptr);
+              std::shared_ptr<const StochasticRankingPolicy> new_policy);
 
   /// Returns the accumulated per-page visit counts and resets them.
   std::vector<uint64_t> DrainVisits();
@@ -219,12 +202,12 @@ class ShardedRankServer {
   size_t ServeTopM(Context& ctx, size_t m, std::vector<uint32_t>* out) const;
 
   /// Answers every query in `batch` against one pinned ServingView (a single
-  /// version check and epoch-cache lookup amortized over the whole batch)
-  /// and returns the total slots served. Each query is an independent fresh
-  /// realization drawn from the context's Rng stream in submission order, so
-  /// a batch of B is bit-identical to B sequential ServeTopM calls on the
-  /// same context — batching changes throughput, never results. Clears every
-  /// result vector; before the first Update() all stay empty.
+  /// version check amortized over the whole batch) and returns the total
+  /// slots served. Each query is an independent fresh realization drawn
+  /// from the context's Rng stream in submission order, so a batch of B is
+  /// bit-identical to B sequential ServeTopM calls on the same context —
+  /// batching changes throughput, never results. Clears every result
+  /// vector; before the first Update() all stay empty.
   size_t ServeBatch(Context& ctx, QueryBatch* batch) const;
 
   /// Records a served-result click for the feedback loop. Batched per
@@ -253,7 +236,6 @@ class ShardedRankServer {
   /// still answered, from a stale epoch. Cleared by the next clean publish.
   bool degraded() const { return epochs_since_publish() > 0; }
   size_t n() const { return n_; }
-  size_t shards() const { return shard_pages_.size(); }
   /// The policy of the most recently *published* epoch (the one queries are
   /// being served under), or the construction policy before the first
   /// Update. Thread-safe, including concurrently with a hot-swap Update —
@@ -264,11 +246,11 @@ class ShardedRankServer {
   /// only stable while no hot-swap Update retires that policy.
   const RankPromotionConfig& config() const;
 
-  /// True when the currently published epoch carries an EpochPrefixCache —
-  /// i.e. queries are taking the cached O(m) splice rather than the
-  /// per-query sharded path. False before the first Update. The observable
-  /// the capability-gating tests assert on.
-  bool PrefixCacheActive() const;
+  /// The currently published epoch, or null before the first Update.
+  /// Thread-safe; the returned pointer keeps the view alive.
+  std::shared_ptr<const ServingView> view() const {
+    return store_.Load(nullptr);
+  }
 
   /// The observability endpoints this server was constructed with (null when
   /// off). The query workload uses these to derive its latency percentiles
@@ -287,7 +269,7 @@ class ShardedRankServer {
   size_t ServeUninstrumented(Context& ctx, const ServingView& view, size_t m,
                              std::vector<uint32_t>* out) const;
   /// Builds the epoch's resolved obs endpoints (null when metrics are off).
-  std::shared_ptr<const ServeObsHooks> BuildObsHooks(bool cached) const;
+  std::shared_ptr<const ServeObsHooks> BuildObsHooks() const;
 
   /// Writer-owned: the policy the *next* Update will rank and publish under
   /// (reassigned by a hot-swap Update). Never read on the query path — the
@@ -300,7 +282,11 @@ class ShardedRankServer {
   const std::shared_ptr<const StochasticRankingPolicy> initial_policy_;
   size_t n_;
   ServeOptions opts_;
-  std::vector<std::vector<uint32_t>> shard_pages_;  // page ids per shard
+
+  /// Writer-owned incremental publish state: the committed copy of the
+  /// inputs of the view store_ serves, advanced only after the RCU swap so
+  /// a rolled-back publish leaves the next one a valid base.
+  EpochBuilder builder_;
 
   SnapshotStore<ServingView> store_;
   std::atomic<uint64_t> epoch_{0};
@@ -314,6 +300,8 @@ class ShardedRankServer {
   obs::Counter* publish_failures_ctr_ = nullptr;
   obs::Gauge* degraded_gauge_ = nullptr;
   obs::Gauge* stale_epochs_gauge_ = nullptr;
+  obs::Gauge* changed_pages_gauge_ = nullptr;
+  obs::Gauge* epoch_bytes_gauge_ = nullptr;
 
   mutable std::atomic<uint64_t> context_seq_{0};
 

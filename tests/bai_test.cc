@@ -193,7 +193,6 @@ TEST(SuccessiveEliminationTest, NoEliminationWithoutEnoughClicks) {
 
 ExperimentOptions SmallExpOptions(uint64_t seed) {
   ExperimentOptions opts;
-  opts.shards = 2;
   opts.threads = 2;
   opts.top_m = 10;
   opts.queries_per_epoch = 4000;

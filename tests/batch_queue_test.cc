@@ -24,7 +24,6 @@ using testutil::Fixture;
 
 std::unique_ptr<ShardedRankServer> MakeServer(const Fixture& fx, size_t n) {
   ServeOptions opts;
-  opts.shards = 4;
   auto server = std::make_unique<ShardedRankServer>(
       RankPromotionConfig::Selective(0.3, 2), n, opts);
   server->Update(fx.popularity, fx.zero, fx.birth);

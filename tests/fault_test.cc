@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/policy/promotion_policy.h"
+#include "core/rank_merge.h"
 #include "core/ranking_policy.h"
 #include "obs/metrics.h"
 #include "serve/batch_queue.h"
@@ -204,17 +205,17 @@ TEST(FaultInjectorTest, AbortableSitesIgnoreSocketOnlyActions) {
 std::unique_ptr<ShardedRankServer> MakeServer(size_t n,
                                               obs::MetricsRegistry* metrics) {
   ServeOptions opts;
-  opts.shards = 4;
   opts.seed = 11;
   opts.metrics = metrics;
   return std::make_unique<ShardedRankServer>(
       RankPromotionConfig::Selective(0.3, 2), n, opts);
 }
 
-// Injects one kFail at `point` during the second publish and proves the
-// failed Update is a perfect no-op: the server keeps serving the previous
-// epoch bit-identically to a twin that never saw the attempt, the degraded
-// accounting trips, and the next clean publish recovers.
+// Injects one kFail at `point` during the second publish (one that changes
+// pages) and proves the failed Update is a perfect no-op: the server keeps
+// serving the previous epoch bit-identically to a twin that never saw the
+// attempt, the degraded accounting trips, and the next clean publish
+// recovers onto an incremental base that still equals a from-scratch build.
 void ExpectPublishRollsBackAt(std::string_view point) {
   SCOPED_TRACE(std::string("fault point: ") + std::string(point));
   const size_t n = 1200;
@@ -225,7 +226,6 @@ void ExpectPublishRollsBackAt(std::string_view point) {
   auto twin = MakeServer(n, &twin_reg);
   ASSERT_TRUE(faulty->Update(fx.popularity, fx.zero, fx.birth));
   ASSERT_TRUE(twin->Update(fx.popularity, fx.zero, fx.birth));
-  ASSERT_TRUE(faulty->PrefixCacheActive());  // merge/epoch_state sites reached
 
   Fixture doomed(n, 40, /*seed=*/9);
   {
@@ -277,6 +277,14 @@ void ExpectPublishRollsBackAt(std::string_view point) {
   EXPECT_EQ(snap.gauges.at("serve/epochs_since_publish"), 0.0);
   ShardedRankServer::Context c2 = faulty->CreateContext();
   EXPECT_EQ(faulty->ServeTopM(c2, 10, &a), 10u);
+
+  Ranker scratch(RankPromotionConfig::Selective(0.3, 2));
+  Rng rng(1);
+  scratch.Update(doomed.popularity, doomed.zero, doomed.birth, rng);
+  const auto view = faulty->view();
+  EXPECT_EQ(view->det, scratch.deterministic_order());
+  EXPECT_EQ(view->det_score, scratch.deterministic_scores());
+  EXPECT_EQ(view->pool, scratch.pool());
 }
 
 TEST(PublishRollbackTest, ShardBuildFailureRollsBack) {

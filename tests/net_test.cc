@@ -424,7 +424,6 @@ struct DaemonHarness {
                          uint64_t seed = 5)
       : fixture(n, 50, seed) {
     ServeOptions sopts;
-    sopts.shards = 4;
     sopts.seed = 11;
     server = std::make_unique<ShardedRankServer>(
         RankPromotionConfig::Selective(0.3, 2), n, sopts);
@@ -448,7 +447,6 @@ TEST(NetDaemonTest, SocketRepliesAreBitIdenticalToInProcess) {
   Fixture fixture(kN, 50);
 
   ServeOptions sopts;
-  sopts.shards = 4;
   sopts.seed = 11;
   ShardedRankServer reference(RankPromotionConfig::Selective(0.3, 2), kN,
                               sopts);

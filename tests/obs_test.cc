@@ -284,15 +284,15 @@ TEST(ExportTest, PrometheusTextShape) {
   MetricsRegistry reg;
   reg.GetCounter("serve/queries").Add(7);
   reg.GetGauge("queue/depth").Set(3.5);
-  reg.GetHistogram("serve/latency_ns/cached/selective").Record(100);
+  reg.GetHistogram("serve/latency_ns/selective").Record(100);
   const std::string text = obs::PrometheusText(reg.Snapshot());
   EXPECT_NE(text.find("serve_queries_total 7"), std::string::npos) << text;
   EXPECT_NE(text.find("queue_depth 3.5"), std::string::npos) << text;
-  EXPECT_NE(text.find("serve_latency_ns_cached_selective_bucket"),
+  EXPECT_NE(text.find("serve_latency_ns_selective_bucket"),
             std::string::npos)
       << text;
   EXPECT_NE(text.find("le=\"+Inf\""), std::string::npos) << text;
-  EXPECT_NE(text.find("serve_latency_ns_cached_selective_count 1"),
+  EXPECT_NE(text.find("serve_latency_ns_selective_count 1"),
             std::string::npos)
       << text;
 }
@@ -388,12 +388,10 @@ TEST(ServeObsTest, PublishEmitsAllPhaseSpans) {
   topts.sample_every = 1;
   TraceLog trace(topts);
   ServeOptions opts;
-  opts.shards = 4;
   opts.metrics = &reg;
   opts.trace = &trace;
   ShardedRankServer server(RankPromotionConfig::Selective(0.3, 2), n, opts);
   server.Update(fx.popularity, fx.zero, fx.birth);
-  EXPECT_TRUE(server.PrefixCacheActive());
 
   std::set<std::string> names = SpanNames(trace);
   EXPECT_TRUE(names.count("publish/shards")) << "got " << names.size();
@@ -409,11 +407,15 @@ TEST(ServeObsTest, PublishEmitsAllPhaseSpans) {
   names = SpanNames(trace);
   EXPECT_TRUE(names.count("publish/policy_swap"));
 
-  // Publish metrics: histogram, counter, epoch gauge.
+  // Publish metrics: histogram, counter, epoch, changed-page and byte
+  // gauges. The swap to r=0.1 keeps the selective partition, so nothing
+  // changed; the view holds 12 B per det page and 4 B per pool page.
   const MetricsSnapshot snap = reg.Snapshot();
   EXPECT_EQ(snap.histograms.at("serve/publish_ns").total, 2u);
   EXPECT_EQ(snap.counters.at("serve/publishes"), 2u);
   EXPECT_EQ(snap.gauges.at("serve/epoch"), 2.0);
+  EXPECT_EQ(snap.gauges.at("serve/publish_changed_pages"), 0.0);
+  EXPECT_EQ(snap.gauges.at("serve/epoch_bytes"), 12.0 * 450 + 4.0 * 50);
 }
 
 TEST(ServeObsTest, QueriesRecordHistogramAndSpans) {
@@ -424,7 +426,6 @@ TEST(ServeObsTest, QueriesRecordHistogramAndSpans) {
   topts.sample_every = 1;  // every query emits its span
   TraceLog trace(topts);
   ServeOptions opts;
-  opts.shards = 4;
   opts.metrics = &reg;
   opts.trace = &trace;
   ShardedRankServer server(RankPromotionConfig::Selective(0.3, 2), n, opts);
@@ -442,9 +443,9 @@ TEST(ServeObsTest, QueriesRecordHistogramAndSpans) {
   EXPECT_TRUE(names.count("serve/batch"));
 
   const MetricsSnapshot snap = reg.Snapshot();
-  // Cached path + selective family, per the histogram naming convention.
+  // Selective family, per the histogram naming convention.
   const HistogramSnapshot& lat =
-      snap.histograms.at("serve/latency_ns/cached/selective");
+      snap.histograms.at("serve/latency_ns/selective");
   EXPECT_EQ(lat.total, 14u);  // 10 single + 4 batched
   EXPECT_EQ(snap.counters.at("serve/queries"), 14u);
   EXPECT_EQ(snap.counters.at("serve/slots"), 14u * 10u);
@@ -453,9 +454,7 @@ TEST(ServeObsTest, QueriesRecordHistogramAndSpans) {
 TEST(ServeObsTest, UninstrumentedServerStaysBare) {
   const size_t n = 300;
   Fixture fx(n, 30);
-  ServeOptions opts;
-  opts.shards = 4;
-  ShardedRankServer server(RankPromotionConfig::Selective(0.3, 2), n, opts);
+  ShardedRankServer server(RankPromotionConfig::Selective(0.3, 2), n);
   server.Update(fx.popularity, fx.zero, fx.birth);
   auto ctx = server.CreateContext();
   std::vector<uint32_t> out;
@@ -469,7 +468,6 @@ TEST(ServeObsTest, WorkloadDerivesPercentilesFromHistogram) {
   Fixture fx(n, 40);
   MetricsRegistry reg;
   ServeOptions opts;
-  opts.shards = 4;
   opts.metrics = &reg;
   ShardedRankServer server(RankPromotionConfig::Selective(0.3, 2), n, opts);
   server.Update(fx.popularity, fx.zero, fx.birth);
@@ -486,9 +484,7 @@ TEST(ServeObsTest, WorkloadDerivesPercentilesFromHistogram) {
   EXPECT_LE(res.p99_latency_us, res.max_latency_us);
 
   // Without a registry the wall-clock estimate still fills the fields.
-  ServeOptions bare_opts;
-  bare_opts.shards = 4;
-  ShardedRankServer bare(RankPromotionConfig::Selective(0.3, 2), n, bare_opts);
+  ShardedRankServer bare(RankPromotionConfig::Selective(0.3, 2), n);
   bare.Update(fx.popularity, fx.zero, fx.birth);
   const WorkloadResult bare_res = RunQueryWorkload(bare, wl);
   EXPECT_FALSE(bare_res.histogram_latency);

@@ -341,17 +341,15 @@ TEST(PlackettLucePolicyTest, FullRealizationIsAPermutation) {
 
 // --- Satellite: chi-squared serve-vs-materialize equivalence -------------
 
-/// Serves `trials` top-m queries through a sharded server and accumulates
-/// the categorical statistic `stat(list)`.
+/// Serves `trials` top-m queries through a server and accumulates the
+/// categorical statistic `stat(list)`.
 template <typename Stat>
 std::vector<double> ServeCounts(
     std::shared_ptr<const StochasticRankingPolicy> policy, const Fixture& fx,
-    size_t n, size_t shards, bool enable_cache, size_t m, int trials,
-    size_t cells, uint64_t seed, const Stat& stat) {
+    size_t n, size_t m, int trials, size_t cells, uint64_t seed,
+    const Stat& stat) {
   ServeOptions opts;
-  opts.shards = shards;
   opts.seed = seed;
-  opts.enable_prefix_cache = enable_cache;
   ShardedRankServer server(std::move(policy), n, opts);
   server.Update(fx.popularity, fx.zero, fx.birth);
   auto ctx = server.CreateContext();
@@ -395,10 +393,10 @@ void ExpectChiSquaredAgreement(std::vector<double> a, std::vector<double> b,
       << ")";
 }
 
-// The acceptance property for the epsilon-tail family: the sharded serve
-// path (both cache branches) realizes exactly the law of the naive
-// materialized reference. Statistic: how many of the deterministic top-m
-// pages appear in the served top-m (a categorical in 0..m).
+// The acceptance property for the epsilon-tail family: the serve path
+// realizes exactly the law of the naive materialized reference. Statistic:
+// how many of the deterministic top-m pages appear in the served top-m (a
+// categorical in 0..m).
 TEST(PolicyEquivalenceTest, EpsilonTailServeMatchesMaterializeChiSquared) {
   const size_t n = 90;
   const size_t m = 10;
@@ -419,17 +417,13 @@ TEST(PolicyEquivalenceTest, EpsilonTailServeMatchesMaterializeChiSquared) {
 
   const std::vector<double> reference =
       MaterializeCounts(policy, fx, m, kTrials, m + 1, 101, stat);
-  for (const bool cache : {true, false}) {
-    const std::vector<double> served = ServeCounts(
-        policy, fx, n, 4, cache, m, kTrials, m + 1, cache ? 102 : 103, stat);
-    ExpectChiSquaredAgreement(served, reference,
-                              cache ? "eps-tail cached" : "eps-tail uncached");
-  }
+  const std::vector<double> served =
+      ServeCounts(policy, fx, n, m, kTrials, m + 1, 102, stat);
+  ExpectChiSquaredAgreement(served, reference, "eps-tail");
 }
 
-// Same acceptance property for Plackett-Luce, on both cache branches:
-// cache on serves through the per-epoch alias table (rejection against the
-// served set), cache off through the per-query Gumbel-max path — both must
+// Same acceptance property for Plackett-Luce: the server serves through the
+// per-epoch alias table (rejection against the served set), which must
 // realize exactly the sequential-softmax reference law. Statistic: the
 // identity of the page served at rank 1 (categorical over all n pages;
 // sparse cells are merged before the test).
@@ -445,18 +439,14 @@ TEST(PolicyEquivalenceTest, PlackettLuceServeMatchesMaterializeChiSquared) {
   };
   const std::vector<double> reference =
       MaterializeCounts(policy, fx, m, kTrials, n, 201, stat);
-  for (const bool cache : {true, false}) {
-    const std::vector<double> served = ServeCounts(
-        policy, fx, n, 3, cache, m, kTrials, n, cache ? 202 : 203, stat);
-    ExpectChiSquaredAgreement(
-        served, reference,
-        cache ? "plackett-luce rank 1 (alias)" : "plackett-luce rank 1");
-  }
+  const std::vector<double> served =
+      ServeCounts(policy, fx, n, m, kTrials, n, 202, stat);
+  ExpectChiSquaredAgreement(served, reference, "plackett-luce rank 1");
 }
 
 // Cross-check at a deeper rank so the without-replacement coupling is
-// exercised (the alias path's rejection against already-served pages, the
-// Gumbel path's key ordering), not just the first draw.
+// exercised (the alias path's rejection against already-served pages), not
+// just the first draw.
 TEST(PolicyEquivalenceTest, PlackettLuceRankMarginalsMatchAtDepth) {
   const size_t n = 40;
   const size_t m = 8;
@@ -469,13 +459,9 @@ TEST(PolicyEquivalenceTest, PlackettLuceRankMarginalsMatchAtDepth) {
   };
   const std::vector<double> reference =
       MaterializeCounts(policy, fx, m, kTrials, n, 301, stat);
-  for (const bool cache : {true, false}) {
-    const std::vector<double> served = ServeCounts(
-        policy, fx, n, 3, cache, m, kTrials, n, cache ? 302 : 303, stat);
-    ExpectChiSquaredAgreement(
-        served, reference,
-        cache ? "plackett-luce rank m (alias)" : "plackett-luce rank m");
-  }
+  const std::vector<double> served =
+      ServeCounts(policy, fx, n, m, kTrials, n, 302, stat);
+  ExpectChiSquaredAgreement(served, reference, "plackett-luce rank m");
 }
 
 // A temperature small enough that the softmax mass concentrates on the top
@@ -495,14 +481,12 @@ TEST(PolicyEquivalenceTest, PlackettLuceAliasFallbackPreservesTheLawChiSquared) 
   const std::vector<double> reference =
       MaterializeCounts(policy, fx, m, kTrials, n, 401, stat);
   const std::vector<double> served =
-      ServeCounts(policy, fx, n, 2, true, m, kTrials, n, 402, stat);
+      ServeCounts(policy, fx, n, m, kTrials, n, 402, stat);
   ExpectChiSquaredAgreement(served, reference, "plackett-luce fallback");
 }
 
-// Same acceptance property for the Thompson-promotion family, on both cache
-// branches: the cached path serves the single merged view, the uncached
-// path duels across per-shard views (where the score normalizer is the max
-// head over all views) — both must realize exactly the naive reference law.
+// Same acceptance property for the Thompson-promotion family: the served
+// duels must realize exactly the naive reference law.
 // Statistic: how many of the deterministic top-m pages survive in the
 // served top-m (the duel decides exactly this exchange).
 TEST(PolicyEquivalenceTest, ThompsonPromoServeMatchesMaterializeChiSquared) {
@@ -526,51 +510,25 @@ TEST(PolicyEquivalenceTest, ThompsonPromoServeMatchesMaterializeChiSquared) {
 
   const std::vector<double> reference =
       MaterializeCounts(policy, fx, m, kTrials, m + 1, 501, stat);
-  for (const bool cache : {true, false}) {
-    const std::vector<double> served = ServeCounts(
-        policy, fx, n, 4, cache, m, kTrials, m + 1, cache ? 502 : 503, stat);
-    ExpectChiSquaredAgreement(served, reference,
-                              cache ? "ts-promo cached" : "ts-promo uncached");
-  }
+  const std::vector<double> served =
+      ServeCounts(policy, fx, n, m, kTrials, m + 1, 502, stat);
+  ExpectChiSquaredAgreement(served, reference, "ts-promo");
 }
 
-// --- Acceptance: the epoch cache is used iff the capabilities allow it ---
+// --- Every family serves from the published view ------------------------
 
-TEST(PolicyServingTest, PrefixCacheActiveIffPolicyCapabilitiesAllow) {
+TEST(PolicyServingTest, EveryFamilyServesFullPermutations) {
   const size_t n = 120;
   Fixture fx(n, 24);
-  struct Case {
-    std::shared_ptr<const StochasticRankingPolicy> policy;
-    bool enable;
-    bool expect_active;
-  };
-  const std::vector<Case> cases = {
-      {MakePromotionPolicy(RankPromotionConfig::Recommended(2)), true, true},
-      {MakePromotionPolicy(RankPromotionConfig::Recommended(2)), false, false},
-      {MakeEpsilonTailPolicy(0.2, 4), true, true},
-      {MakeEpsilonTailPolicy(0.2, 4), false, false},
-      // Plackett-Luce's alias table made it cache-capable (PR 4); the
-      // server ablation switch still disables it.
-      {MakePlackettLucePolicy(0.1), true, true},
-      {MakePlackettLucePolicy(0.1), false, false},
-      {MakeThompsonPromotionPolicy(1.0, 3.0, 20.0, 1), true, true},
-      {MakeThompsonPromotionPolicy(1.0, 3.0, 20.0, 1), false, false},
-  };
-  for (const Case& c : cases) {
-    ServeOptions opts;
-    opts.shards = 4;
-    opts.enable_prefix_cache = c.enable;
-    ShardedRankServer server(c.policy, n, opts);
-    EXPECT_FALSE(server.PrefixCacheActive());  // nothing published yet
-    server.Update(fx.popularity, fx.zero, fx.birth);
-    EXPECT_EQ(server.PrefixCacheActive(), c.expect_active)
-        << c.policy->Label() << " enable=" << c.enable;
-    // Whichever branch is taken, queries are well-formed permutations.
+  for (const auto& policy : StandardPolicyFamilies()) {
+    ShardedRankServer server(policy, n);
+    EXPECT_EQ(server.view(), nullptr);  // nothing published yet
+    ASSERT_TRUE(server.Update(fx.popularity, fx.zero, fx.birth));
     auto ctx = server.CreateContext();
     std::vector<uint32_t> out;
-    ASSERT_EQ(server.ServeTopM(ctx, n, &out), n) << c.policy->Label();
+    ASSERT_EQ(server.ServeTopM(ctx, n, &out), n) << policy->Label();
     const std::set<uint32_t> seen(out.begin(), out.end());
-    EXPECT_EQ(seen.size(), n) << c.policy->Label();
+    EXPECT_EQ(seen.size(), n) << policy->Label();
   }
 }
 
@@ -578,9 +536,7 @@ TEST(PolicyServingTest, AllStandardFamiliesServeThroughBatchesAndWorkload) {
   const size_t n = 300;
   Fixture fx(n, 60);
   for (const auto& policy : StandardPolicyFamilies()) {
-    ServeOptions opts;
-    opts.shards = 4;
-    ShardedRankServer server(policy, n, opts);
+    ShardedRankServer server(policy, n);
     server.Update(fx.popularity, fx.zero, fx.birth);
 
     auto ctx = server.CreateContext();

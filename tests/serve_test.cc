@@ -10,10 +10,8 @@
 
 #include "core/rank_merge.h"
 #include "core/ranking_policy.h"
-#include "serve/epoch_prefix_cache.h"
 #include "serve/feedback.h"
 #include "serve/query_workload.h"
-#include "serve/rank_snapshot.h"
 #include "serve/snapshot_store.h"
 #include "util/rng.h"
 
@@ -52,61 +50,20 @@ TEST(SnapshotStoreTest, HandleKeepsOldGenerationAliveUntilRefresh) {
   EXPECT_TRUE(watch.expired());
 }
 
-TEST(RankSnapshotTest, BuildMatchesRankerOverSamePages) {
+TEST(ServeTest, PublishedViewMatchesRankerOverSamePages) {
   Fixture fx(120, 24);
-  std::vector<uint32_t> all_pages(120);
-  for (uint32_t p = 0; p < 120; ++p) all_pages[p] = p;
   const RankPromotionConfig config = RankPromotionConfig::Selective(0.3, 2);
   Ranker ranker(config);
-  Rng rng_a(8);
-  Rng rng_b(8);
-  ranker.Update(fx.popularity, fx.zero, fx.birth, rng_a);
-  const auto snap = RankSnapshot::Build(config, 1, all_pages, fx.popularity,
-                                        fx.zero, fx.birth, rng_b);
-  EXPECT_EQ(snap->det, ranker.deterministic_order());
-  EXPECT_EQ(snap->pool, ranker.pool());
-  EXPECT_EQ(snap->n(), 120u);
-  for (size_t j = 0; j < snap->det.size(); ++j) {
-    EXPECT_EQ(snap->det_score[j], fx.popularity[snap->det[j]]);
-    EXPECT_EQ(snap->det_birth[j], fx.birth[snap->det[j]]);
-  }
-}
-
-TEST(RankSnapshotTest, TopMAndPageAtRankMatchMaterializeMarginals) {
-  // The per-shard serve primitives must agree with the Ranker reference
-  // distribution over the same page state.
-  Fixture fx(40, 8);
-  std::vector<uint32_t> all_pages(40);
-  for (uint32_t p = 0; p < 40; ++p) all_pages[p] = p;
-  const RankPromotionConfig config = RankPromotionConfig::Selective(0.4, 2);
-  Ranker ranker(config);
-  Rng rng(9);
+  Rng rng(8);
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
-  const auto snap = RankSnapshot::Build(config, 1, all_pages, fx.popularity,
-                                        fx.zero, fx.birth, rng);
-
-  const size_t m = 6;
-  const int kTrials = 25000;
-  std::vector<double> top_pool_freq(m, 0.0);
-  std::vector<double> lazy_pool_freq(m, 0.0);
-  std::vector<double> full_pool_freq(m, 0.0);
-  std::vector<uint32_t> top;
-  for (int t = 0; t < kTrials; ++t) {
-    top.clear();
-    ASSERT_EQ(snap->TopM(m, rng, &top), m);
-    const std::vector<uint32_t> list = ranker.MaterializeList(rng);
-    for (size_t j = 0; j < m; ++j) {
-      top_pool_freq[j] += fx.zero[top[j]];
-      lazy_pool_freq[j] += fx.zero[snap->PageAtRank(j + 1, rng)];
-      full_pool_freq[j] += fx.zero[list[j]];
-    }
-  }
-  for (size_t j = 0; j < m; ++j) {
-    EXPECT_NEAR(top_pool_freq[j] / kTrials, full_pool_freq[j] / kTrials, 0.02)
-        << "TopM rank " << j + 1;
-    EXPECT_NEAR(lazy_pool_freq[j] / kTrials, full_pool_freq[j] / kTrials, 0.02)
-        << "PageAtRank rank " << j + 1;
-  }
+  ShardedRankServer server(config, 120);
+  ASSERT_TRUE(server.Update(fx.popularity, fx.zero, fx.birth));
+  const auto view = server.view();
+  ASSERT_NE(view, nullptr);
+  EXPECT_EQ(view->det, ranker.deterministic_order());
+  EXPECT_EQ(view->det_score, ranker.deterministic_scores());
+  EXPECT_EQ(view->pool, ranker.pool());
+  EXPECT_EQ(view->n(), 120u);
 }
 
 TEST(ServeTest, ServesNothingBeforeFirstUpdate) {
@@ -117,37 +74,30 @@ TEST(ServeTest, ServesNothingBeforeFirstUpdate) {
   EXPECT_TRUE(out.empty());
 }
 
-TEST(ServeTest, FullListIsPermutationAcrossShardCounts) {
+TEST(ServeTest, FullListIsPermutation) {
   Fixture fx(211, 40);
-  for (const size_t shards : {1u, 2u, 5u, 8u}) {
-    ServeOptions opts;
-    opts.shards = shards;
-    ShardedRankServer server(RankPromotionConfig::Selective(0.3, 2), 211, opts);
-    server.Update(fx.popularity, fx.zero, fx.birth);
-    auto ctx = server.CreateContext();
-    std::vector<uint32_t> out;
-    ASSERT_EQ(server.ServeTopM(ctx, 211, &out), 211u) << shards;
-    std::set<uint32_t> seen(out.begin(), out.end());
-    EXPECT_EQ(seen.size(), 211u) << shards;
-    EXPECT_EQ(*seen.rbegin(), 210u) << shards;
-  }
+  ShardedRankServer server(RankPromotionConfig::Selective(0.3, 2), 211);
+  server.Update(fx.popularity, fx.zero, fx.birth);
+  auto ctx = server.CreateContext();
+  std::vector<uint32_t> out;
+  ASSERT_EQ(server.ServeTopM(ctx, 211, &out), 211u);
+  std::set<uint32_t> seen(out.begin(), out.end());
+  EXPECT_EQ(seen.size(), 211u);
+  EXPECT_EQ(*seen.rbegin(), 210u);
 }
 
-TEST(ServeTest, NoneRuleMatchesGlobalDeterministicOrderShardedOrNot) {
+TEST(ServeTest, NoneRuleMatchesGlobalDeterministicOrder) {
   Fixture fx(300, 0);
   Ranker ranker(RankPromotionConfig::None());
   Rng rng(3);
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
 
-  ServeOptions opts;
-  opts.shards = 7;
-  ShardedRankServer server(RankPromotionConfig::None(), 300, opts);
+  ShardedRankServer server(RankPromotionConfig::None(), 300);
   server.Update(fx.popularity, fx.zero, fx.birth);
   auto ctx = server.CreateContext();
   std::vector<uint32_t> out;
   server.ServeTopM(ctx, 300, &out);
-  // With no randomization the cross-shard merge must reproduce the global
-  // sort exactly.
+  // With no randomization the served list is the global sort exactly.
   EXPECT_EQ(out, ranker.deterministic_order());
 }
 
@@ -155,7 +105,6 @@ TEST(ServeTest, ProtectedPrefixIsStableAcrossRealizations) {
   Fixture fx(150, 30);
   const size_t k = 6;
   ServeOptions opts;
-  opts.shards = 4;
   ShardedRankServer server(RankPromotionConfig::Selective(0.9, k), 150, opts);
   server.Update(fx.popularity, fx.zero, fx.birth);
   auto ctx = server.CreateContext();
@@ -170,9 +119,9 @@ TEST(ServeTest, ProtectedPrefixIsStableAcrossRealizations) {
   }
 }
 
-// The acceptance property of the sharded merge: the served top-m has the
-// same distribution as the prefix of a full MaterializeList realization over
-// identical global page state, regardless of shard count.
+// The acceptance property of the serve path: the served top-m has the same
+// distribution as the prefix of a full MaterializeList realization over
+// identical global page state.
 TEST(ServeTest, ServedTopMMatchesMaterializeListMarginals) {
   const size_t n = 60;
   const size_t zeros = 12;
@@ -190,24 +139,21 @@ TEST(ServeTest, ServedTopMMatchesMaterializeListMarginals) {
     for (size_t j = 0; j < m; ++j) reference_pool_freq[j] += fx.zero[list[j]];
   }
 
-  for (const size_t shards : {1u, 4u}) {
-    ServeOptions opts;
-    opts.shards = shards;
-    opts.seed = 1000 + shards;
-    ShardedRankServer server(config, n, opts);
-    server.Update(fx.popularity, fx.zero, fx.birth);
-    auto ctx = server.CreateContext();
-    std::vector<double> served_pool_freq(m, 0.0);
-    std::vector<uint32_t> out;
-    for (int t = 0; t < kTrials; ++t) {
-      ASSERT_EQ(server.ServeTopM(ctx, m, &out), m);
-      for (size_t j = 0; j < m; ++j) served_pool_freq[j] += fx.zero[out[j]];
-    }
-    for (size_t j = 0; j < m; ++j) {
-      EXPECT_NEAR(served_pool_freq[j] / kTrials,
-                  reference_pool_freq[j] / kTrials, 0.02)
-          << "shards=" << shards << " rank=" << j + 1;
-    }
+  ServeOptions opts;
+  opts.seed = 1001;
+  ShardedRankServer server(config, n, opts);
+  server.Update(fx.popularity, fx.zero, fx.birth);
+  auto ctx = server.CreateContext();
+  std::vector<double> served_pool_freq(m, 0.0);
+  std::vector<uint32_t> out;
+  for (int t = 0; t < kTrials; ++t) {
+    ASSERT_EQ(server.ServeTopM(ctx, m, &out), m);
+    for (size_t j = 0; j < m; ++j) served_pool_freq[j] += fx.zero[out[j]];
+  }
+  for (size_t j = 0; j < m; ++j) {
+    EXPECT_NEAR(served_pool_freq[j] / kTrials,
+                reference_pool_freq[j] / kTrials, 0.02)
+        << "rank=" << j + 1;
   }
 }
 
@@ -220,35 +166,29 @@ TEST(ServeTest, ServeBatchIsPairwiseIdenticalToSequentialQueries) {
   const size_t m = 15;
   const size_t kBatch = 32;
   Fixture fx(n, 100);
-  for (const bool cache : {true, false}) {
-    ServeOptions opts;
-    opts.shards = 4;
-    opts.seed = 77;
-    opts.enable_prefix_cache = cache;
+  ServeOptions opts;
+  opts.seed = 77;
 
-    // Two identical servers; contexts created identically get identical
-    // per-query Rng streams.
-    ShardedRankServer sequential(RankPromotionConfig::Selective(0.4, 3), n,
-                                 opts);
-    ShardedRankServer batched(RankPromotionConfig::Selective(0.4, 3), n, opts);
-    sequential.Update(fx.popularity, fx.zero, fx.birth);
-    batched.Update(fx.popularity, fx.zero, fx.birth);
-    auto seq_ctx = sequential.CreateContext();
-    auto batch_ctx = batched.CreateContext();
+  // Two identical servers; contexts created identically get identical
+  // per-query Rng streams.
+  ShardedRankServer sequential(RankPromotionConfig::Selective(0.4, 3), n,
+                               opts);
+  ShardedRankServer batched(RankPromotionConfig::Selective(0.4, 3), n, opts);
+  sequential.Update(fx.popularity, fx.zero, fx.birth);
+  batched.Update(fx.popularity, fx.zero, fx.birth);
+  auto seq_ctx = sequential.CreateContext();
+  auto batch_ctx = batched.CreateContext();
 
-    std::vector<std::vector<uint32_t>> expected(kBatch);
-    size_t expected_total = 0;
-    for (size_t q = 0; q < kBatch; ++q) {
-      expected_total += sequential.ServeTopM(seq_ctx, m, &expected[q]);
-    }
+  std::vector<std::vector<uint32_t>> expected(kBatch);
+  size_t expected_total = 0;
+  for (size_t q = 0; q < kBatch; ++q) {
+    expected_total += sequential.ServeTopM(seq_ctx, m, &expected[q]);
+  }
 
-    QueryBatch batch(m, kBatch);
-    ASSERT_EQ(batched.ServeBatch(batch_ctx, &batch), expected_total)
-        << "cache=" << cache;
-    for (size_t q = 0; q < kBatch; ++q) {
-      EXPECT_EQ(batch.results[q], expected[q])
-          << "cache=" << cache << " query " << q;
-    }
+  QueryBatch batch(m, kBatch);
+  ASSERT_EQ(batched.ServeBatch(batch_ctx, &batch), expected_total);
+  for (size_t q = 0; q < kBatch; ++q) {
+    EXPECT_EQ(batch.results[q], expected[q]) << "query " << q;
   }
 }
 
@@ -261,62 +201,40 @@ TEST(ServeTest, ServeBatchBeforeFirstUpdateServesNothing) {
   for (const auto& result : batch.results) EXPECT_TRUE(result.empty());
 }
 
-// The epoch cache's deterministic half admits an exact test: its merged
-// global order must equal the per-query S-way merge output (observable as
-// the full served list under r=0), not merely match in distribution.
-TEST(ServeTest, EpochPrefixCacheDetOrderMatchesUncachedMergeExactly) {
-  const size_t n = 311;
-  Fixture fx(n, 60);
-  std::vector<std::vector<uint32_t>> lists;
-  for (const bool cache : {true, false}) {
-    ServeOptions opts;
-    opts.shards = 5;
-    opts.enable_prefix_cache = cache;
-    ShardedRankServer server(RankPromotionConfig::None(), n, opts);
-    server.Update(fx.popularity, fx.zero, fx.birth);
-    auto ctx = server.CreateContext();
-    std::vector<uint32_t> out;
-    EXPECT_EQ(server.ServeTopM(ctx, n, &out), n);
-    lists.push_back(out);
-  }
-  EXPECT_EQ(lists[0], lists[1]);
-}
-
-// Satellite acceptance test: the cached randomized tail must draw from the
-// same law as the uncached tail. Statistic: pool pages among the served
-// top-m (sparse-merged cells, two-sample chi-squared at alpha = 1e-3), plus
-// a per-rank marginal cross-check against the uncached path.
-TEST(ServeTest, CachedTailMatchesUncachedTailChiSquared) {
+// The served randomized tail must draw from the reference law. Statistic:
+// pool pages among the served top-m (sparse-merged cells, two-sample
+// chi-squared at alpha = 1e-3 against Ranker::MaterializeList prefixes),
+// plus a per-rank marginal cross-check.
+TEST(ServeTest, ServedTailMatchesMaterializeListChiSquared) {
   const size_t n = 600;
   const size_t m = 12;
   const int kTrials = 20000;
   Fixture fx(n, 120);
   const RankPromotionConfig config = RankPromotionConfig::Selective(0.35, 2);
 
-  std::vector<std::vector<double>> pool_counts(2);
-  std::vector<std::vector<double>> rank_freq(2);
-  for (const bool cache : {true, false}) {
-    ServeOptions opts;
-    opts.shards = 4;
-    opts.seed = cache ? 900 : 901;
-    opts.enable_prefix_cache = cache;
-    ShardedRankServer server(config, n, opts);
-    server.Update(fx.popularity, fx.zero, fx.birth);
-    auto ctx = server.CreateContext();
-    std::vector<uint32_t> out;
-    auto& counts = pool_counts[cache ? 0 : 1];
-    auto& freq = rank_freq[cache ? 0 : 1];
-    counts.assign(m + 1, 0.0);
-    freq.assign(m, 0.0);
-    for (int t = 0; t < kTrials; ++t) {
-      ASSERT_EQ(server.ServeTopM(ctx, m, &out), m);
-      size_t hits = 0;
-      for (size_t j = 0; j < m; ++j) {
-        hits += fx.zero[out[j]];
-        freq[j] += fx.zero[out[j]];
-      }
-      counts[hits] += 1.0;
+  std::vector<std::vector<double>> pool_counts(2, std::vector<double>(m + 1));
+  std::vector<std::vector<double>> rank_freq(2, std::vector<double>(m));
+  const auto count = [&](const uint32_t* top, size_t arm) {
+    size_t hits = 0;
+    for (size_t j = 0; j < m; ++j) {
+      hits += fx.zero[top[j]];
+      rank_freq[arm][j] += fx.zero[top[j]];
     }
+    pool_counts[arm][hits] += 1.0;
+  };
+  ServeOptions opts;
+  opts.seed = 900;
+  ShardedRankServer server(config, n, opts);
+  server.Update(fx.popularity, fx.zero, fx.birth);
+  auto ctx = server.CreateContext();
+  std::vector<uint32_t> out;
+  Ranker ranker(config);
+  Rng rng(901);
+  ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
+  for (int t = 0; t < kTrials; ++t) {
+    ASSERT_EQ(server.ServeTopM(ctx, m, &out), m);
+    count(out.data(), 0);
+    count(ranker.MaterializeList(rng).data(), 1);
   }
 
   MergeSparseCells(&pool_counts[0], &pool_counts[1], 32.0);
@@ -324,7 +242,8 @@ TEST(ServeTest, CachedTailMatchesUncachedTailChiSquared) {
   const double chi2 = TwoSampleChiSquared(pool_counts[0], pool_counts[1], &df);
   ASSERT_GT(df, 0u);
   EXPECT_LE(chi2, ChiSquaredCritical(df, 0.001))
-      << "cached tail distribution drifted from uncached (df=" << df << ")";
+      << "served tail distribution drifted from the reference (df=" << df
+      << ")";
 
   for (size_t j = 0; j < m; ++j) {
     EXPECT_NEAR(rank_freq[0][j] / kTrials, rank_freq[1][j] / kTrials, 0.02)
@@ -332,16 +251,14 @@ TEST(ServeTest, CachedTailMatchesUncachedTailChiSquared) {
   }
 }
 
-TEST(ServeTest, EpochPrefixCacheBuildPartitionsTheView) {
+TEST(ServeTest, PublishedViewPartitionsThePages) {
   const size_t n = 97;
   Fixture fx(n, 20);
-  ServeOptions opts;
-  opts.shards = 3;
-  ShardedRankServer server(RankPromotionConfig::Selective(0.5, 2), n, opts);
+  ShardedRankServer server(RankPromotionConfig::Selective(0.5, 2), n);
   server.Update(fx.popularity, fx.zero, fx.birth);
   auto ctx = server.CreateContext();
-  // Reach the published cache through a full-list query's invariants: the
-  // cache partitions all pages (det + pool) and preserves the global order
+  // Reach the published view through a full-list query's invariants: the
+  // view partitions all pages (det + pool) and preserves the global order
   // law, so a full realization is a permutation.
   std::vector<uint32_t> out;
   EXPECT_EQ(server.ServeTopM(ctx, n, &out), n);
@@ -356,9 +273,7 @@ TEST(ServeTest, EpochPrefixCacheBuildPartitionsTheView) {
 TEST(ServeTest, BatchedWorkloadFeedsVisitsBackLikeSequential) {
   const size_t n = 400;
   Fixture fx(n, 80);
-  ServeOptions opts;
-  opts.shards = 4;
-  ShardedRankServer server(RankPromotionConfig::Recommended(2), n, opts);
+  ShardedRankServer server(RankPromotionConfig::Recommended(2), n);
   server.Update(fx.popularity, fx.zero, fx.birth);
 
   WorkloadOptions wl;
@@ -383,9 +298,7 @@ TEST(ServeTest, BatchedWorkloadFeedsVisitsBackLikeSequential) {
 TEST(ServeTest, AsyncWorkloadServesFullQuotaThroughQueue) {
   const size_t n = 300;
   Fixture fx(n, 60);
-  ServeOptions opts;
-  opts.shards = 4;
-  ShardedRankServer server(RankPromotionConfig::Recommended(2), n, opts);
+  ShardedRankServer server(RankPromotionConfig::Recommended(2), n);
   server.Update(fx.popularity, fx.zero, fx.birth);
 
   WorkloadOptions wl;
@@ -402,14 +315,11 @@ TEST(ServeTest, AsyncWorkloadServesFullQuotaThroughQueue) {
   EXPECT_LE(result.batches, 1600u);
 }
 
-TEST(ServeTest, PoolDrawsAreUniformAcrossShards) {
-  // r=1, k=1: rank 1 is always a pool page, uniform over the global pool —
-  // including pages on different shards.
+TEST(ServeTest, PoolDrawsAreUniform) {
+  // r=1, k=1: rank 1 is always a pool page, uniform over the global pool.
   const size_t n = 48;
   Fixture fx(n, 16);
-  ServeOptions opts;
-  opts.shards = 6;
-  ShardedRankServer server(RankPromotionConfig::Selective(1.0, 1), n, opts);
+  ShardedRankServer server(RankPromotionConfig::Selective(1.0, 1), n);
   server.Update(fx.popularity, fx.zero, fx.birth);
   auto ctx = server.CreateContext();
   std::vector<int> counts(n, 0);
@@ -435,9 +345,7 @@ TEST(ServeTest, PoolDrawsAreUniformAcrossShards) {
 TEST(ServeTest, SnapshotSwapUnderConcurrentReadersIsSafe) {
   const size_t n = 500;
   Fixture fx(n, 100);
-  ServeOptions opts;
-  opts.shards = 4;
-  ShardedRankServer server(RankPromotionConfig::Selective(0.2, 2), n, opts);
+  ShardedRankServer server(RankPromotionConfig::Selective(0.2, 2), n);
   server.Update(fx.popularity, fx.zero, fx.birth);
 
   std::atomic<bool> stop{false};
@@ -482,7 +390,7 @@ TEST(ServeTest, SnapshotSwapUnderConcurrentReadersIsSafe) {
 
 TEST(ServeTest, FeedbackCountsDrainExactly) {
   ShardedRankServer server(RankPromotionConfig::None(), 10,
-                           {.shards = 2, .feedback_batch = 4});
+                           {.feedback_batch = 4});
   auto ctx = server.CreateContext();
   for (int i = 0; i < 10; ++i) server.RecordVisit(ctx, 3);
   server.RecordVisit(ctx, 7);
@@ -520,9 +428,7 @@ TEST(ServeTest, FoldVisitsConvertsAwarenessAndClearsPoolFlag) {
 TEST(ServeTest, WorkloadClosedLoopFeedsVisitsBack) {
   const size_t n = 400;
   Fixture fx(n, 80);
-  ServeOptions opts;
-  opts.shards = 4;
-  ShardedRankServer server(RankPromotionConfig::Recommended(2), n, opts);
+  ShardedRankServer server(RankPromotionConfig::Recommended(2), n);
   server.Update(fx.popularity, fx.zero, fx.birth);
 
   WorkloadOptions wl;
@@ -556,7 +462,6 @@ TEST(ServeTest, ServeLoopDiscoversZeroAwarenessPagesUnderSelectiveRule) {
   ServingPageState state = MakeServingPageState(params, rng);
 
   ServeOptions opts;
-  opts.shards = 4;
   opts.seed = 7;
   ShardedRankServer server(RankPromotionConfig::Selective(0.5, 1), params.n,
                            opts);

@@ -7,9 +7,10 @@ Compares a perf_serve --smoke JSONL run against the checked-in baseline
   * unparseable or empty JSONL (a crashed bench must not pass),
   * any baseline bench missing from the run (a silently shrunk sweep),
   * QPS regression beyond the tolerance on any baseline bench,
-  * statistical drift between the cached and uncached serve paths
-    (the serve/equivalence record: chi2 must stay under its critical
-    value and the deterministic-order check must be exact),
+  * statistical drift between the served prefix and the reference
+    realization (the serve/equivalence record: chi2 must stay under its
+    critical value, and the incrementally published deterministic order
+    must equal a from-scratch sort exactly),
   * a policy family missing from the serve/policy: sweep (the baseline's
     policy_families list records which ranking families the run must
     cover; bench names embed the policy label, e.g.
@@ -18,11 +19,11 @@ Compares a perf_serve --smoke JSONL run against the checked-in baseline
   * a missing serve/pl_alias:{on,off} ablation point, or an alias-table
     speedup under min_pl_alias_speedup (the within-run ratio of
     alias-path Plackett-Luce QPS over the O(n) Gumbel path — hardware
-    independent, like min_speedup_vs_percall),
+    independent),
   * a missing serve/epoch_publish point, or one without positive publish
     latencies (the epoch_publish list records the Update()-latency
-    coverage: snapshot rebuild + BuildEpochState + cache build is the
-    unit cost of an online policy hot-swap, so it must stay measured),
+    coverage: diff + merge + BuildEpochState is the unit cost of an
+    online policy hot-swap, so it must stay measured),
   * a missing serve/obs:{on,off} ablation point, or an instrumented-path
     QPS ratio (the on point's qps_vs_off, the best pairwise on/off ratio
     over alternating reps) under min_obs_qps_ratio — the observability
@@ -149,33 +150,11 @@ def check(records, spans, baseline, tolerance):
                 f"(baseline {base:.0f}, tolerance {tol:.0%})"
             )
 
-    # Hardware-independent gate: the within-run speedup of the batched+cached
-    # path over the per-query uncached path (the PR acceptance criterion is
-    # >= 2x). Absolute QPS floors above depend on runner hardware; this ratio
-    # does not, so it catches a cache/batching regression even on a runner
-    # much faster or slower than the baseline recording machine.
-    cached = records.get("serve/cache:on/batch:16")
-    min_speedup = baseline.get("min_speedup_vs_percall", 2.0)
-    if cached is None:
-        failures.append("serve/cache:on/batch:16 record missing from run")
-        rows.append(("serve/cache:on/batch:16 speedup", None, min_speedup, None,
-                     "MISSING"))
-    else:
-        speedup = cached.get("speedup_vs_percall", 0.0)
-        ok = speedup >= min_speedup
-        rows.append(("serve/cache:on/batch:16 speedup", speedup, min_speedup,
-                     None, "ok" if ok else "REGRESSION"))
-        if not ok:
-            failures.append(
-                f"batched+cached speedup {speedup:.2f}x fell below "
-                f"{min_speedup:.1f}x over the per-query uncached path"
-            )
-
     # Alias-table ablation coverage + hardware-independent speedup gate: the
     # Plackett-Luce serve/pl_alias pair must be present, and the alias path
     # must clear the configured within-run speedup over the O(n) Gumbel path
-    # (the PR-4 acceptance criterion is >= 3x; like min_speedup_vs_percall
-    # this ratio does not depend on runner hardware).
+    # (the PR-4 acceptance criterion is >= 3x; this ratio does not depend
+    # on runner hardware).
     min_alias = baseline.get("min_pl_alias_speedup", 0.0)
     for name in baseline.get("alias_ablation", []):
         record = records.get(name)
@@ -397,12 +376,12 @@ def check(records, spans, baseline, tolerance):
         if drifted:
             failures.append(
                 f"serve/equivalence: chi2 {chi2} exceeds critical {critical} "
-                "(cached tail distribution drifted from uncached)"
+                "(served tail distribution drifted from the reference)"
             )
         if inexact:
             failures.append(
-                "serve/equivalence: cached deterministic order no longer "
-                "matches the uncached S-way merge exactly"
+                "serve/equivalence: incrementally published order no longer "
+                "matches a from-scratch sort exactly"
             )
         status = "ok" if not (drifted or inexact) else "DRIFT"
         rows.append(("serve/equivalence", chi2, critical, None, status))
@@ -423,7 +402,7 @@ def write_summary(path, rows, failures):
     lines.append("")
     lines.append(
         "**GATE FAILED**" if failures else "**gate passed** "
-        "(QPS within tolerance, cached/uncached distributions equivalent)"
+        "(QPS within tolerance, served/reference distributions equivalent)"
     )
     text = "\n".join(lines) + "\n"
     if path:
@@ -466,14 +445,13 @@ def update_baseline(records, spans, path, tolerance, headroom):
             "Absolute QPS depends on runner hardware — record the baseline "
             "on (or conservatively below) the hardware the gate runs on, "
             "from the min of several runs: tools/check_bench.py r1.jsonl "
-            "r2.jsonl r3.jsonl --update. The min_speedup_vs_percall, "
-            "distribution-drift, policy_families coverage, and bai "
+            "r2.jsonl r3.jsonl --update. The distribution-drift, "
+            "policy_families coverage, and bai "
             "epoch-overhead checks are hardware-independent; "
             "publish_phase_budget_us records 25x the observed per-phase "
             "median, a budget alert rather than a tight bound."
         ),
         "tolerance": tolerance if tolerance is not None else 0.30,
-        "min_speedup_vs_percall": 2.0,
         "min_pl_alias_speedup": 3.0,
         "min_obs_qps_ratio": 0.95,
         "min_fault_qps_ratio": 0.99,

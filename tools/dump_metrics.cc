@@ -71,12 +71,11 @@ int main(int argc, char** argv) {
 
   Rng rng(7);
 
-  // Serve layer, cached path (the default "serve" prefix): promotion-family
-  // histogram under latency_ns/cached/.
+  // Serve layer (the default "serve" prefix): promotion-family histogram
+  // under latency_ns/.
   {
     ServingPageState state = MakeServingPageState(community, rng);
     ServeOptions opts;
-    opts.shards = 2;
     opts.metrics = &registry;
     opts.trace = &trace;
     ShardedRankServer server(RankPromotionConfig::Selective(0.3, 2), community.n,
@@ -111,13 +110,10 @@ int main(int argc, char** argv) {
     daemon.Drain();
   }
 
-  // Serve layer, sharded (uncached) path: latency_ns/sharded/ for a
-  // non-promotion family.
+  // Serve layer: latency_ns/ for a non-promotion family.
   {
     ServingPageState state = MakeServingPageState(community, rng);
     ServeOptions opts;
-    opts.shards = 2;
-    opts.enable_prefix_cache = false;
     opts.metrics = &registry;
     ShardedRankServer server(MakePolicyFromLabel("plackett-luce(T=0.25)"),
                              community.n, opts);
@@ -131,7 +127,6 @@ int main(int argc, char** argv) {
   {
     ServingPageState state = MakeServingPageState(community, rng);
     ServeOptions opts;
-    opts.shards = 2;
     opts.metrics = &registry;
     ShardedRankServer server(RankPromotionConfig::Selective(0.3, 2),
                              community.n, opts);
@@ -160,7 +155,6 @@ int main(int argc, char** argv) {
     arms.push_back({"control", MakePolicyFromLabel("none")});
     arms.push_back({"treatment", MakePolicyFromLabel("selective(r=0.10,k=2)")});
     ExperimentOptions eopts;
-    eopts.shards = 2;
     eopts.queries_per_epoch = 200;
     eopts.async_serving = true;
     eopts.async_max_batch = 8;

@@ -67,7 +67,6 @@ void Usage() {
       "  --port P              TCP port; 0 = kernel-assigned (default 0)\n"
       "  --pages N             community size (default 20000)\n"
       "  --users U             community users (default 1000)\n"
-      "  --shards S            serving shards (default 4)\n"
       "  --policy LABEL        ranking policy (default selective(r=0.10,k=2))\n"
       "  --swap-policy LABEL   alternate policy for hot-swaps\n"
       "                        (default plackett-luce(T=0.25))\n"
@@ -105,7 +104,6 @@ int main(int argc, char** argv) {
   uint16_t port = 0;
   size_t pages = 20000;
   size_t users = 1000;
-  size_t shards = 4;
   std::string policy_label = "selective(r=0.10,k=2)";
   std::string swap_label = "plackett-luce(T=0.25)";
   uint64_t swap_every = 0;
@@ -143,8 +141,6 @@ int main(int argc, char** argv) {
       pages = ParseU64(next(), "--pages");
     } else if (arg == "--users") {
       users = ParseU64(next(), "--users");
-    } else if (arg == "--shards") {
-      shards = ParseU64(next(), "--shards");
     } else if (arg == "--policy") {
       policy_label = next();
     } else if (arg == "--swap-policy") {
@@ -219,7 +215,6 @@ int main(int argc, char** argv) {
   obs::TraceLog trace(topts);
 
   ServeOptions sopts;
-  sopts.shards = shards;
   sopts.seed = seed + 1;
   sopts.metrics = &metrics;
   sopts.trace = trace_every > 0 ? &trace : nullptr;
@@ -267,7 +262,7 @@ int main(int argc, char** argv) {
   std::cout << "randrankd listening on " << bind_address << ":"
             << daemon.port() << " pid=" << ::getpid() << " policy=\""
             << policy->Label() << "\" pages=" << community.n
-            << " shards=" << shards << " epoch_ms=" << epoch_ms
+            << " epoch_ms=" << epoch_ms
             << " swap_every=" << swap_every << std::endl;
 
   // Publish loop (this thread is the single writer): drain visit feedback,
