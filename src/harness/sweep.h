@@ -34,7 +34,8 @@ struct SweepOutcome {
   SimResult result;
 };
 
-/// Runs every point's agent simulation, `threads`-wide (0 = hardware).
+/// Runs every point's agent simulation on `threads` pool threads (0 =
+/// hardware) and the calling thread.
 /// Outcomes are returned in input order.
 std::vector<SweepOutcome> RunAgentSweep(const std::vector<SweepPoint>& points,
                                         size_t threads = 0);

@@ -503,9 +503,11 @@ void NetDaemon::HandleQuery(const std::shared_ptr<Connection>& conn,
           error.message = "query deadline expired before serving";
           std::vector<uint8_t> bytes;
           AppendError(error, &bytes);
-          EnqueueReply(conn, bytes);
+          // Counted before the reply is queued: a client that has read it
+          // must never scrape a count that misses it.
           deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
           if (deadline_ctr_ != nullptr) deadline_ctr_->Add();
+          EnqueueReply(conn, bytes);
           inflight_.fetch_sub(1, std::memory_order_acq_rel);
           return;
         }
@@ -515,9 +517,9 @@ void NetDaemon::HandleQuery(const std::shared_ptr<Connection>& conn,
         reply.pages = std::move(results);
         std::vector<uint8_t> bytes;
         AppendQueryReply(reply, &bytes);
-        EnqueueReply(conn, bytes);
         replies_.fetch_add(1, std::memory_order_relaxed);
         if (replies_ctr_ != nullptr) replies_ctr_->Add();
+        EnqueueReply(conn, bytes);
         if (request_hist_ != nullptr && t0 != 0) {
           const uint64_t dur_ns = obs::FastNowNs() - t0;
           request_hist_->Record(dur_ns);

@@ -49,7 +49,8 @@ PageRankResult ComputePageRank(const CsrGraph& graph,
   const double d = options.damping;
 
   ThreadPool* pool = nullptr;
-  ThreadPool owned_pool(options.threads > 1 ? options.threads : 1);
+  // ParallelFor's caller gathers too, so the pool is one thread short.
+  ThreadPool owned_pool(options.threads > 1 ? options.threads - 1 : 1);
   if (options.threads > 1) pool = &owned_pool;
 
   for (size_t iter = 1; iter <= options.max_iterations; ++iter) {

@@ -25,6 +25,12 @@ double MicrosBetween(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double, std::micro>(b - a).count();
 }
 
+uint64_t NanosBetween(std::chrono::steady_clock::time_point a,
+                      std::chrono::steady_clock::time_point b) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
+}
+
 }  // namespace
 
 ShardedRankServer::ShardedRankServer(
@@ -50,6 +56,11 @@ ShardedRankServer::ShardedRankServer(
         opts_.obs_prefix + "/publish_changed_pages");
     epoch_bytes_gauge_ =
         &opts_.metrics->GetGauge(opts_.obs_prefix + "/epoch_bytes");
+    const std::string phase = opts_.obs_prefix + "/publish_phase_ns/";
+    diff_hist_ = &opts_.metrics->GetHistogram(phase + "diff");
+    merge_hist_ = &opts_.metrics->GetHistogram(phase + "merge");
+    epoch_state_hist_ = &opts_.metrics->GetHistogram(phase + "epoch_state");
+    commit_hist_ = &opts_.metrics->GetHistogram(phase + "commit");
     degraded_gauge_->Set(0.0);
     stale_epochs_gauge_->Set(0.0);
   }
@@ -111,23 +122,24 @@ bool ShardedRankServer::Update(
     // Fault site: abort (kFail) or slow (kDelay) the diff phase.
     fault::CheckAbortable(fault::kPublishShards,
                           fault::Hash(fault::kPublishShards), epoch);
+    // The base is the view being served (only this thread publishes, so it
+    // is also the committed one). Dropped straight after the merge: once
+    // the swap below retires it, its last reader frees it, off the writer's
+    // path.
+    std::shared_ptr<const ServingView> prev = store_.Load(nullptr);
     // Validate + diff against the committed copy + sort the changed det
     // pages. A hot-swap needs nothing special: membership is re-derived
     // under the new policy, and the pages it moves are part of the delta.
     const Clock::time_point diff_start = Clock::now();
-    const size_t changed = builder_.Diff(*policy_, popularity, zero_awareness,
-                                         birth_step, writer_rng_);
+    const size_t changed =
+        builder_.Diff(*policy_, prev.get(), popularity, zero_awareness,
+                      birth_step, writer_rng_);
     const Clock::time_point diff_done = Clock::now();
 
     fault::CheckAbortable(fault::kPublishMerge,
                           fault::Hash(fault::kPublishMerge), epoch);
-    {
-      // The base is the view being served. Drop the reference straight
-      // after: once the swap below retires it, its last reader frees it,
-      // off the writer's path.
-      const std::shared_ptr<const ServingView> prev = store_.Load(nullptr);
-      builder_.Merge(prev.get(), view.get());
-    }
+    builder_.Merge(prev.get(), view.get());
+    prev.reset();
     const Clock::time_point merge_done = Clock::now();
 
     // Policy-owned per-epoch state over the finished view (promotion's is
@@ -153,7 +165,8 @@ bool ShardedRankServer::Update(
     const size_t epoch_bytes = view->bytes();
     store_.Publish(std::move(view));
     epoch_.store(epoch, std::memory_order_release);
-    builder_.Commit();
+    const Clock::time_point commit_start = Clock::now();
+    builder_.Commit(popularity, birth_step);
     const Clock::time_point publish_done = Clock::now();
 
     if (failed_since_success_.load(std::memory_order_relaxed) != 0) {
@@ -166,12 +179,12 @@ bool ShardedRankServer::Update(
       }
     }
     if (opts_.metrics != nullptr) {
-      const uint64_t publish_ns = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(publish_done -
-                                                               publish_start)
-              .count());
       opts_.metrics->GetHistogram(opts_.obs_prefix + "/publish_ns")
-          .Record(publish_ns);
+          .Record(NanosBetween(publish_start, publish_done));
+      diff_hist_->Record(NanosBetween(diff_start, diff_done));
+      merge_hist_->Record(NanosBetween(diff_done, merge_done));
+      epoch_state_hist_->Record(NanosBetween(merge_done, epoch_state_done));
+      commit_hist_->Record(NanosBetween(commit_start, publish_done));
       opts_.metrics->GetCounter(opts_.obs_prefix + "/publishes").Add();
       opts_.metrics->GetGauge(opts_.obs_prefix + "/epoch")
           .Set(static_cast<double>(epoch));

@@ -150,8 +150,10 @@ class ShardedRankServer {
   /// Builds the next epoch from global page state and publishes it. Safe
   /// to call while readers are serving. The build is incremental: one pass
   /// diffs the inputs against the last published epoch's, only the changed
-  /// pages are sorted, and one linear merge with the previous view yields
-  /// the new one (EpochBuilder).
+  /// pages are sorted, and a linear merge with the previous view yields the
+  /// new one (EpochBuilder). From n > EpochBuilder::kChunkPages these passes
+  /// run per chunk on the builder's own thread pool as well as the
+  /// caller; the result does not depend on how many threads there are.
   ///
   /// Inputs must hold n entries each, with every popularity finite and
   /// >= 0; anything else is rejected as a failed publish whose reason is
@@ -302,6 +304,12 @@ class ShardedRankServer {
   obs::Gauge* stale_epochs_gauge_ = nullptr;
   obs::Gauge* changed_pages_gauge_ = nullptr;
   obs::Gauge* epoch_bytes_gauge_ = nullptr;
+  /// Per-phase publish cost: the diff (with the delta sort), the merge,
+  /// BuildEpochState, and the commit of the new inputs.
+  obs::LatencyHistogram* diff_hist_ = nullptr;
+  obs::LatencyHistogram* merge_hist_ = nullptr;
+  obs::LatencyHistogram* epoch_state_hist_ = nullptr;
+  obs::LatencyHistogram* commit_hist_ = nullptr;
 
   mutable std::atomic<uint64_t> context_seq_{0};
 

@@ -2,9 +2,29 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 
 namespace randrank {
+
+namespace {
+
+/// How long an idle worker polls for the next wave before it sleeps, and
+/// HelpAndWait's caller for the wave's last running tasks (at most one task
+/// long each).
+constexpr std::chrono::microseconds kWorkerPoll{200};
+constexpr std::chrono::microseconds kCallerPoll{2000};
+
+/// Polls `busy` for up to `budget`, yielding the core between polls.
+template <typename Busy>
+void SpinWhile(std::chrono::microseconds budget, const Busy& busy) {
+  const auto deadline = std::chrono::steady_clock::now() + budget;
+  while (busy() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(size_t threads) {
   if (threads == 0) {
@@ -29,7 +49,8 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     std::unique_lock<std::mutex> lock(mutex_);
     tasks_.push(std::move(task));
-    ++in_flight_;
+    queued_.fetch_add(1, std::memory_order_relaxed);
+    in_flight_.fetch_add(1, std::memory_order_relaxed);
   }
   task_ready_.notify_one();
 }
@@ -39,29 +60,52 @@ void ThreadPool::Wait() {
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
+void ThreadPool::HelpAndWait() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  while (!tasks_.empty()) RunTask(lock);
+  if (in_flight_ != 0) {
+    lock.unlock();
+    SpinWhile(kCallerPoll, [this] {
+      return in_flight_.load(std::memory_order_relaxed) != 0;
+    });
+    lock.lock();
+  }
+  all_done_.wait(lock, [this] { return in_flight_ == 0; });
+}
+
+void ThreadPool::RunTask(std::unique_lock<std::mutex>& lock) {
+  std::function<void()> task = std::move(tasks_.front());
+  tasks_.pop();
+  queued_.fetch_sub(1, std::memory_order_relaxed);
+  lock.unlock();
+  task();
+  lock.lock();
+  if (in_flight_.fetch_sub(1, std::memory_order_relaxed) == 1) {
+    all_done_.notify_all();
+  }
+}
+
 void ThreadPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      task_ready_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
-      if (stop_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
+    if (tasks_.empty() && !stop_) {
+      // Waves often come back to back: poll briefly before sleeping.
+      lock.unlock();
+      SpinWhile(kWorkerPoll, [this] {
+        return queued_.load(std::memory_order_relaxed) == 0;
+      });
+      lock.lock();
     }
-    task();
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.notify_all();
-    }
+    task_ready_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
+    if (stop_ && tasks_.empty()) return;
+    RunTask(lock);
   }
 }
 
 void ParallelFor(ThreadPool& pool, size_t count,
                  const std::function<void(size_t)>& fn) {
   if (count == 0) return;
-  const size_t chunks = std::min(count, pool.size() * 4);
+  const size_t chunks = std::min(count, (pool.size() + 1) * 4);
   const size_t chunk_size = (count + chunks - 1) / chunks;
   for (size_t c = 0; c < chunks; ++c) {
     const size_t begin = c * chunk_size;
@@ -71,7 +115,7 @@ void ParallelFor(ThreadPool& pool, size_t count,
       for (size_t i = begin; i < end; ++i) fn(i);
     });
   }
-  pool.Wait();
+  pool.HelpAndWait();
 }
 
 }  // namespace randrank

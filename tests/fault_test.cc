@@ -282,9 +282,12 @@ void ExpectPublishRollsBackAt(std::string_view point) {
   Rng rng(1);
   scratch.Update(doomed.popularity, doomed.zero, doomed.birth, rng);
   const auto view = faulty->view();
-  EXPECT_EQ(view->det, scratch.deterministic_order());
-  EXPECT_EQ(view->det_score, scratch.deterministic_scores());
-  EXPECT_EQ(view->pool, scratch.pool());
+  EXPECT_EQ(std::vector<uint32_t>(view->det.begin(), view->det.end()),
+            scratch.deterministic_order());
+  EXPECT_EQ(std::vector<double>(view->det_score.begin(), view->det_score.end()),
+            scratch.deterministic_scores());
+  EXPECT_EQ(std::vector<uint32_t>(view->pool.begin(), view->pool.end()),
+            scratch.pool());
 }
 
 TEST(PublishRollbackTest, ShardBuildFailureRollsBack) {

@@ -416,6 +416,24 @@ TEST(ServeObsTest, PublishEmitsAllPhaseSpans) {
   EXPECT_EQ(snap.gauges.at("serve/epoch"), 2.0);
   EXPECT_EQ(snap.gauges.at("serve/publish_changed_pages"), 0.0);
   EXPECT_EQ(snap.gauges.at("serve/epoch_bytes"), 12.0 * 450 + 4.0 * 50);
+
+  // Per-phase histograms: one sample per successful publish in each, none
+  // from a rolled-back one.
+  const char* const kPhases[] = {"diff", "merge", "epoch_state", "commit"};
+  for (const char* phase : kPhases) {
+    const std::string name = std::string("serve/publish_phase_ns/") + phase;
+    ASSERT_TRUE(snap.histograms.count(name)) << name;
+    EXPECT_EQ(snap.histograms.at(name).total, 2u) << name;
+  }
+  std::vector<double> bad = fx.popularity;
+  bad[7] = -1.0;
+  EXPECT_FALSE(server.Update(bad, fx.zero, fx.birth));
+  const MetricsSnapshot after = reg.Snapshot();
+  for (const char* phase : kPhases) {
+    const std::string name = std::string("serve/publish_phase_ns/") + phase;
+    EXPECT_EQ(after.histograms.at(name).total, 2u) << name;
+  }
+  EXPECT_EQ(after.counters.at("serve/publish_failures"), 1u);
 }
 
 TEST(ServeObsTest, QueriesRecordHistogramAndSpans) {

@@ -60,9 +60,12 @@ TEST(ServeTest, PublishedViewMatchesRankerOverSamePages) {
   ASSERT_TRUE(server.Update(fx.popularity, fx.zero, fx.birth));
   const auto view = server.view();
   ASSERT_NE(view, nullptr);
-  EXPECT_EQ(view->det, ranker.deterministic_order());
-  EXPECT_EQ(view->det_score, ranker.deterministic_scores());
-  EXPECT_EQ(view->pool, ranker.pool());
+  EXPECT_EQ(std::vector<uint32_t>(view->det.begin(), view->det.end()),
+            ranker.deterministic_order());
+  EXPECT_EQ(std::vector<double>(view->det_score.begin(), view->det_score.end()),
+            ranker.deterministic_scores());
+  EXPECT_EQ(std::vector<uint32_t>(view->pool.begin(), view->pool.end()),
+            ranker.pool());
   EXPECT_EQ(view->n(), 120u);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 #include <vector>
 
 namespace randrank {
@@ -91,6 +92,29 @@ TEST(ThreadPoolTest, ParallelForReusesPoolWithMixedCounts) {
     ParallelFor(pool, count, [&](size_t) { total.fetch_add(1); });
   }
   EXPECT_EQ(total.load(), 79u);
+}
+
+TEST(ThreadPoolTest, HelpAndWaitRunsQueuedTasksOnTheCaller) {
+  // The only worker is held, so the caller must run the queued tasks
+  // itself; the last one lets the worker go.
+  ThreadPool pool(1);
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  pool.Submit([&] {
+    held = true;
+    while (!release) std::this_thread::yield();
+  });
+  while (!held) std::this_thread::yield();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> on_caller{0};
+  for (int i = 0; i < 5; ++i) {
+    pool.Submit([&] {
+      if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+    });
+  }
+  pool.Submit([&] { release = true; });
+  pool.HelpAndWait();
+  EXPECT_EQ(on_caller.load(), 5);
 }
 
 }  // namespace
