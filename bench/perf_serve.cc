@@ -131,16 +131,14 @@ class WithoutEpochState final : public StochasticRankingPolicy {
   bool PoolMembership(bool zero_awareness, Rng& rng) const override {
     return inner_->PoolMembership(zero_awareness, rng);
   }
-  size_t ServePrefix(const ShardView* views, size_t num_views,
-                     const PolicyEpochState* epoch_state,
+  size_t ServePrefix(const RankView& view, const PolicyEpochState* epoch_state,
                      PolicyScratch& scratch, size_t m, Rng& rng,
                      std::vector<uint32_t>* out) const override {
-    return inner_->ServePrefix(views, num_views, epoch_state, scratch, m, rng,
-                               out);
+    return inner_->ServePrefix(view, epoch_state, scratch, m, rng, out);
   }
-  std::vector<uint32_t> MaterializeReference(const ShardView& global,
+  std::vector<uint32_t> MaterializeReference(const RankView& view,
                                              Rng& rng) const override {
-    return inner_->MaterializeReference(global, rng);
+    return inner_->MaterializeReference(view, rng);
   }
 
  private:
@@ -174,7 +172,7 @@ std::map<std::string, double> EquivalenceCheck(size_t trials) {
   {
     ServeOptions opts;
     opts.seed = 1000ULL;
-    ShardedRankServer server(config, n, opts);
+    ShardedRankServer server(MakePromotionPolicy(config), n, opts);
     server.Update(corpus.popularity, corpus.zero, corpus.birth);
     auto ctx = server.CreateContext();
     std::vector<uint32_t> out;
@@ -185,7 +183,7 @@ std::map<std::string, double> EquivalenceCheck(size_t trials) {
   }
   std::vector<double> reference(m + 1, 0.0);
   {
-    Ranker ranker(config);
+    Ranker ranker(MakePromotionPolicy(config));
     Rng rng(1001ULL);
     ranker.Update(corpus.popularity, corpus.zero, corpus.birth, rng);
     for (size_t t = 0; t < trials; ++t) {
@@ -208,13 +206,13 @@ std::map<std::string, double> EquivalenceCheck(size_t trials) {
     churned.popularity[p] = churn.NextDouble() * 0.4;
     churned.birth[p] = static_cast<int64_t>(churn.NextIndex(4096));
   }
-  ShardedRankServer server(RankPromotionConfig::None(), n);
+  ShardedRankServer server(MakePromotionPolicy(RankPromotionConfig::None()), n);
   server.Update(corpus.popularity, corpus.zero, corpus.birth);
   server.Update(churned.popularity, churned.zero, churned.birth);
   auto ctx = server.CreateContext();
   std::vector<uint32_t> incremental;
   server.ServeTopM(ctx, n, &incremental);
-  Ranker scratch(RankPromotionConfig::None());
+  Ranker scratch(MakePromotionPolicy(RankPromotionConfig::None()));
   Rng rng(3);
   scratch.Update(churned.popularity, churned.zero, churned.birth, rng);
   const bool det_exact = incremental == scratch.deterministic_order();
@@ -485,8 +483,7 @@ int main(int argc, char** argv) {
   // bounded, its QPS rows honest about the cost.
   const auto policy_quota = [&](const StochasticRankingPolicy& policy,
                                 bool with_state) {
-    const PolicyCapabilities caps = policy.Capabilities();
-    return caps.lazy_prefix || (with_state && caps.epoch_state)
+    return policy.Capabilities().lazy_prefix || with_state
                ? kQueriesPerThread
                : std::max<size_t>(200, kQueriesPerThread / 20);
   };

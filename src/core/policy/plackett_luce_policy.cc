@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "util/alias_table.h"
+
 namespace randrank {
 
 namespace {
@@ -18,7 +20,7 @@ double NextGumbel(Rng& rng) {
   return -std::log(-std::log1p(u - 1.0));
 }
 
-/// Per-epoch state: the alias table over exp(score/T), indexed by global
+/// Per-epoch state: the alias table over exp(score/T), indexed by
 /// deterministic rank (the table samples *positions* in the view's det
 /// array; page ids are resolved through the view at serve time, so the
 /// state borrows nothing).
@@ -30,9 +32,7 @@ class PlackettLuceEpochState final : public PolicyEpochState {
 }  // namespace
 
 std::string PlackettLucePolicy::Label() const {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "plackett-luce(T=%.2f)", temperature_);
-  return buf;
+  return FormatLabel("plackett-luce(T=%.2f)", temperature_);
 }
 
 bool PlackettLucePolicy::ParseLabel(const std::string& label,
@@ -49,95 +49,88 @@ bool PlackettLucePolicy::ParseLabel(const std::string& label,
 }
 
 std::shared_ptr<const PolicyEpochState> PlackettLucePolicy::BuildEpochState(
-    const ShardView& global) const {
-  assert(global.pool_size == 0 && "weighted families keep no pool");
-  if (global.det_size == 0) return nullptr;
+    const RankView& view) const {
+  assert(view.pool_size == 0 && "weighted families keep no pool");
+  if (view.det_size == 0) return nullptr;
   // Weights are shifted by the max score before exponentiation so small
   // temperatures saturate to 0 on the tail instead of overflowing the head;
   // the alias table normalizes, so the shift cancels.
-  double max_score = global.det_score[0];
-  for (size_t j = 1; j < global.det_size; ++j) {
-    max_score = std::max(max_score, global.det_score[j]);
+  double max_score = view.det_score[0];
+  for (size_t j = 1; j < view.det_size; ++j) {
+    max_score = std::max(max_score, view.det_score[j]);
   }
-  std::vector<double> weight(global.det_size);
-  for (size_t j = 0; j < global.det_size; ++j) {
-    weight[j] = std::exp((global.det_score[j] - max_score) / temperature_);
+  std::vector<double> weight(view.det_size);
+  for (size_t j = 0; j < view.det_size; ++j) {
+    weight[j] = std::exp((view.det_score[j] - max_score) / temperature_);
   }
   auto state = std::make_shared<PlackettLuceEpochState>();
   state->table.Build(weight);
   return state;
 }
 
-size_t PlackettLucePolicy::ServePrefix(const ShardView* views,
-                                       size_t num_views,
+size_t PlackettLucePolicy::ServePrefix(const RankView& view,
                                        const PolicyEpochState* epoch_state,
                                        PolicyScratch& scratch, size_t m,
                                        Rng& rng,
                                        std::vector<uint32_t>* out) const {
-  if (epoch_state != nullptr) {
-    assert(num_views == 1 &&
-           "epoch state is built over the single pre-merged global view");
-    const auto* state = static_cast<const PlackettLuceEpochState*>(epoch_state);
-    assert(state->table.size() == views[0].det_size);
-    return ServeAlias(views[0], state->table, scratch, m, rng, out);
-  }
-  return ServeGumbel(views, num_views, scratch, m, rng, out);
-}
-
-size_t PlackettLucePolicy::ServeAlias(const ShardView& view,
-                                      const AliasTable& table,
-                                      PolicyScratch& scratch, size_t m,
-                                      Rng& rng,
-                                      std::vector<uint32_t>* out) const {
   const size_t n = view.det_size;
   const size_t count = std::min(m, n);
   if (count == 0) return 0;
+  assert(view.det_score != nullptr);
 
   // Drawing from the *unconditional* softmax and rejecting already-served
   // pages realizes exactly sequential softmax sampling without replacement
-  // (the rejected draws are uniform noise over the served mass), so this
-  // path and the Gumbel path share one law. Expected attempts per slot are
-  // 1/(1 - served_mass): O(1) while the served prefix holds a bounded share
-  // of the softmax mass, i.e. O(m) expected per query for m << n at sane
-  // temperatures.
+  // (the rejected draws are uniform noise over the served mass), so the
+  // alias draws and the Gumbel tail below share one law. Expected attempts
+  // per slot are 1/(1 - served_mass): O(1) while the served prefix holds a
+  // bounded share of the softmax mass, i.e. O(m) expected per query for
+  // m << n at sane temperatures.
   //
   // The cap bounds the degenerate regimes (tiny T concentrating the mass on
   // a handful of pages, or m -> n) where served_mass -> 1 and the rejection
   // loop would otherwise be unbounded: after O(log n) failed attempts the
   // remainder of the query falls back to Gumbel-max over the not-yet-served
   // pages — the exact conditional law — so a query never costs more than
-  // the pre-alias O(n log n) path.
-  size_t max_attempts = 16;
-  for (size_t span = n; span > 0; span >>= 1) max_attempts += 4;
-
+  // the O(n log n) Gumbel path.
   scratch.emitted.clear();
   size_t appended = 0;
-  while (appended < count) {
-    bool served = false;
-    for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
-      const size_t idx = table.Sample(rng);
-      if (scratch.emitted.insert(view.det[idx]).second) {
-        out->push_back(view.det[idx]);
-        ++appended;
-        served = true;
-        break;
+  if (epoch_state != nullptr) {
+    const AliasTable& table =
+        static_cast<const PlackettLuceEpochState*>(epoch_state)->table;
+    assert(table.size() == n);
+    size_t max_attempts = 16;
+    for (size_t span = n; span > 0; span >>= 1) max_attempts += 4;
+    while (appended < count) {
+      bool served = false;
+      for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
+        const size_t idx = table.Sample(rng);
+        if (scratch.emitted.insert(view.det[idx]).second) {
+          out->push_back(view.det[idx]);
+          ++appended;
+          served = true;
+          break;
+        }
       }
+      if (!served) break;  // rejection regime went degenerate
     }
-    if (!served) break;  // rejection regime went degenerate: Gumbel fallback
+    if (appended == count) return count;
   }
-  if (appended == count) return count;
 
-  // Fallback: Gumbel-max over the pages not yet served. Conditioning a
-  // Plackett-Luce realization on its first `appended` entries leaves a
-  // Plackett-Luce law over the remainder, which Gumbel-max samples exactly.
+  // Gumbel-max over the pages not yet served: one perturbed key per page,
+  // top keys descending. Conditioning a Plackett-Luce realization on its
+  // first `appended` entries leaves a Plackett-Luce law over the remainder,
+  // which Gumbel-max samples exactly; with nothing served it is the whole
+  // query.
   scratch.keyed.clear();
   scratch.keyed.reserve(n - appended);
   for (size_t j = 0; j < n; ++j) {
-    if (scratch.emitted.count(view.det[j]) > 0) continue;
+    if (appended > 0 && scratch.emitted.count(view.det[j]) > 0) continue;
     scratch.keyed.emplace_back(
         view.det_score[j] / temperature_ + NextGumbel(rng), view.det[j]);
   }
   const size_t rest = count - appended;
+  // Ties have probability zero in exact arithmetic; break them by page id so
+  // floating-point collisions stay deterministic.
   const auto better = [](const std::pair<double, uint32_t>& a,
                          const std::pair<double, uint32_t>& b) {
     if (a.first != b.first) return a.first > b.first;
@@ -154,62 +147,20 @@ size_t PlackettLucePolicy::ServeAlias(const ShardView& view,
   return count;
 }
 
-size_t PlackettLucePolicy::ServeGumbel(const ShardView* views,
-                                       size_t num_views, PolicyScratch& scratch,
-                                       size_t m, Rng& rng,
-                                       std::vector<uint32_t>* out) const {
-  size_t total = 0;
-  for (size_t v = 0; v < num_views; ++v) {
-    assert(views[v].det_score != nullptr);
-    total += views[v].det_size;
-  }
-  const size_t count = std::min(m, total);
-  if (count == 0) return 0;
-
-  // Gumbel-max: one perturbed key per page, top-`count` keys descending.
-  // Key order is independent of generation order, so shard views need no
-  // interleaving — stream them in sequence.
-  scratch.keyed.clear();
-  scratch.keyed.reserve(total);
-  for (size_t v = 0; v < num_views; ++v) {
-    const ShardView& view = views[v];
-    for (size_t j = 0; j < view.det_size; ++j) {
-      scratch.keyed.emplace_back(
-          view.det_score[j] / temperature_ + NextGumbel(rng), view.det[j]);
-    }
-  }
-  // Ties have probability zero in exact arithmetic; break them by page id so
-  // floating-point collisions stay deterministic.
-  const auto better = [](const std::pair<double, uint32_t>& a,
-                         const std::pair<double, uint32_t>& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;
-  };
-  if (count < total) {
-    std::nth_element(scratch.keyed.begin(),
-                     scratch.keyed.begin() + static_cast<ptrdiff_t>(count - 1),
-                     scratch.keyed.end(), better);
-  }
-  std::sort(scratch.keyed.begin(),
-            scratch.keyed.begin() + static_cast<ptrdiff_t>(count), better);
-  for (size_t j = 0; j < count; ++j) out->push_back(scratch.keyed[j].second);
-  return count;
-}
-
 std::vector<uint32_t> PlackettLucePolicy::MaterializeReference(
-    const ShardView& global, Rng& rng) const {
+    const RankView& view, Rng& rng) const {
   // Naive sequential softmax sampling without replacement — the textbook
   // Plackett-Luce definition, independent of both fast paths.
-  assert(global.det_score != nullptr);
-  const size_t n = global.det_size;
+  assert(view.det_score != nullptr);
+  const size_t n = view.det_size;
   double max_score = 0.0;
   for (size_t j = 0; j < n; ++j) {
-    max_score = std::max(max_score, global.det_score[j]);
+    max_score = std::max(max_score, view.det_score[j]);
   }
   std::vector<double> weight(n);
   double mass = 0.0;
   for (size_t j = 0; j < n; ++j) {
-    weight[j] = std::exp((global.det_score[j] - max_score) / temperature_);
+    weight[j] = std::exp((view.det_score[j] - max_score) / temperature_);
     mass += weight[j];
   }
 
@@ -225,7 +176,7 @@ std::vector<uint32_t> PlackettLucePolicy::MaterializeReference(
       if (target < 0.0) break;
     }
     assert(pick < n);
-    out.push_back(global.det[pick]);
+    out.push_back(view.det[pick]);
     mass -= weight[pick];
     weight[pick] = 0.0;
   }

@@ -1,12 +1,12 @@
 #ifndef RANDRANK_CORE_POLICY_PLACKETT_LUCE_POLICY_H_
 #define RANDRANK_CORE_POLICY_PLACKETT_LUCE_POLICY_H_
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/policy/stochastic_ranking_policy.h"
-#include "util/alias_table.h"
 
 namespace randrank {
 
@@ -17,24 +17,18 @@ namespace randrank {
 /// smooth counterpart of the paper's coin-flip merge, after the stochastic
 /// rankers of Ganguly's risk-analysis framework.
 ///
-/// Serving paths, fastest first:
-///
-///  * **Alias path** (single global view + epoch state): BuildEpochState
-///    precomputes a Walker/Vose alias table over exp(score/T) once per
-///    epoch; each slot draws from the unconditional softmax in O(1) and
-///    rejects pages already served — which is exactly sequential softmax
-///    sampling without replacement, so top-m draws cost O(m) expected for
-///    m << n. A per-slot re-draw bound (O(log n) attempts) catches the
-///    degenerate regimes (tiny T, m -> n) where the served mass dominates;
-///    past it the query falls back to Gumbel-max over the not-yet-served
-///    pages, keeping the worst case at the old O(n log n) instead of an
-///    unbounded rejection loop. This is why the family now declares the
-///    `epoch_state` capability; the server builds the table per epoch.
-///  * **Gumbel-max path** (shard views, or no epoch state): one perturbed
-///    key per page, top-m keys descending — O(n) per query, kept as the
-///    stateless reference fast path and the `serve/pl_alias:off` ablation.
-///    Per-page keys are order-independent, so shard views need no
-///    interleaving.
+/// One serving path, `ServePrefix`. With its epoch state — a Walker/Vose
+/// alias table over exp(score/T) that BuildEpochState precomputes once per
+/// epoch — each slot draws from the unconditional softmax in O(1) and
+/// rejects pages already served. That is exactly sequential softmax
+/// sampling without replacement, so top-m draws cost O(m) expected for
+/// m << n. A per-slot re-draw bound (O(log n) attempts) catches the
+/// degenerate regimes (tiny T, m -> n) where the served mass dominates;
+/// past it the rest of the query is a Gumbel-max draw over the not-yet-served
+/// pages, which keeps the worst case at O(n log n) instead of an unbounded
+/// rejection loop. Without the epoch state the whole query is that Gumbel
+/// tail over an empty served set: O(n) per query, the same law, and the
+/// `serve/pl_alias:off` ablation.
 class PlackettLucePolicy final : public StochasticRankingPolicy {
  public:
   explicit PlackettLucePolicy(double temperature)
@@ -42,13 +36,11 @@ class PlackettLucePolicy final : public StochasticRankingPolicy {
 
   std::string Label() const override;
   PolicyCapabilities Capabilities() const override {
-    return {.lazy_prefix = false,
-            .epoch_state = true,
-            .sharded_merge = true,
-            .agent_sim = false,
-            .mean_field = false};
+    return {.lazy_prefix = false, .agent_sim = false, .mean_field = false};
   }
-  bool Valid() const override { return temperature_ > 0.0; }
+  bool Valid() const override {
+    return temperature_ > 0.0 && std::isfinite(temperature_);
+  }
 
   /// Weighted sampling needs every page's score on the deterministic list;
   /// the stochastic pool stays empty.
@@ -58,16 +50,15 @@ class PlackettLucePolicy final : public StochasticRankingPolicy {
     return false;
   }
 
-  /// Per-epoch alias table over exp(score/T) across the global view.
+  /// Per-epoch alias table over exp(score/T) across the view.
   std::shared_ptr<const PolicyEpochState> BuildEpochState(
-      const ShardView& global) const override;
+      const RankView& view) const override;
 
-  size_t ServePrefix(const ShardView* views, size_t num_views,
-                     const PolicyEpochState* epoch_state,
+  size_t ServePrefix(const RankView& view, const PolicyEpochState* epoch_state,
                      PolicyScratch& scratch, size_t m, Rng& rng,
                      std::vector<uint32_t>* out) const override;
 
-  std::vector<uint32_t> MaterializeReference(const ShardView& global,
+  std::vector<uint32_t> MaterializeReference(const RankView& view,
                                              Rng& rng) const override;
 
   /// Inverse of Label(): parses "plackett-luce(T=F)" into `*temperature`
@@ -79,15 +70,6 @@ class PlackettLucePolicy final : public StochasticRankingPolicy {
   double temperature() const { return temperature_; }
 
  private:
-  /// The O(m)-expected alias path (see class comment).
-  size_t ServeAlias(const ShardView& view, const AliasTable& table,
-                    PolicyScratch& scratch, size_t m, Rng& rng,
-                    std::vector<uint32_t>* out) const;
-  /// The O(n) Gumbel-max path over the shard views.
-  size_t ServeGumbel(const ShardView* views, size_t num_views,
-                     PolicyScratch& scratch, size_t m, Rng& rng,
-                     std::vector<uint32_t>* out) const;
-
   double temperature_;
 };
 

@@ -1,7 +1,5 @@
 #include "core/policy/policy_factory.h"
 
-#include <cstdio>
-
 #include "core/policy/epsilon_tail_policy.h"
 #include "core/policy/plackett_luce_policy.h"
 #include "core/policy/promotion_policy.h"
@@ -41,11 +39,11 @@ const std::vector<std::string>& KnownPolicyFamilyPrefixes() {
 
 std::shared_ptr<const StochasticRankingPolicy> MakePolicyFromLabel(
     const std::string& label, std::string* error) {
-  // Each family's ParseLabel is syntax-only and strict (trailing garbage and
-  // truncated labels are rejected, so a mangled label never silently maps to
-  // a policy whose Label() differs from the input); range checks happen here
-  // so "known family, bad parameters" gets a specific diagnostic instead of
-  // the generic unknown-family one.
+  // Each family's ParseLabel is syntax-only and strict (trailing garbage,
+  // truncated labels and signed counts are rejected, so a mangled label never
+  // silently maps to a policy whose Label() differs from the input); the
+  // range check follows the parse so "known family, bad parameters" gets a
+  // specific diagnostic instead of the generic unknown-family one.
   RankPromotionConfig config;
   if (RankPromotionConfig::ParseLabel(label, &config)) {
     return MakePromotionPolicy(config);
@@ -57,42 +55,39 @@ std::shared_ptr<const StochasticRankingPolicy> MakePolicyFromLabel(
   if (label.rfind("uniform(", 0) == 0 || label.rfind("selective(", 0) == 0) {
     SetError(error, "policy label \"" + label +
                         "\": promotion parameters malformed or out of range "
-                        "(expect r in [0, 1] and k >= 1)");
+                        "(expect r in [0, 1] and an unsigned k >= 1)");
     return nullptr;
   }
+  // Every other family: parse the syntax, then let the policy judge its own
+  // parameters, so the range check lives in exactly one place (Valid()).
+  std::shared_ptr<const StochasticRankingPolicy> policy;
+  const char* ranges = nullptr;
   double temperature = 0.0;
-  if (PlackettLucePolicy::ParseLabel(label, &temperature)) {
-    if (temperature > 0.0) return MakePlackettLucePolicy(temperature);
-    SetError(error, "policy label \"" + label +
-                        "\": plackett-luce temperature must be > 0");
-    return nullptr;
-  }
   double epsilon = 0.0;
-  size_t protect = 0;
-  if (EpsilonTailPolicy::ParseLabel(label, &epsilon, &protect)) {
-    if (epsilon >= 0.0 && epsilon <= 1.0) {
-      return MakeEpsilonTailPolicy(epsilon, protect);
-    }
-    SetError(error, "policy label \"" + label +
-                        "\": eps-tail epsilon must be in [0, 1]");
-    return nullptr;
-  }
   double pool_a = 0.0;
   double pool_b = 0.0;
   double evidence = 0.0;
-  size_t ts_protect = 0;
-  if (ThompsonPromotionPolicy::ParseLabel(label, &pool_a, &pool_b, &evidence,
-                                          &ts_protect)) {
-    if (pool_a > 0.0 && pool_b > 0.0 && evidence >= 0.0) {
-      return MakeThompsonPromotionPolicy(pool_a, pool_b, evidence, ts_protect);
-    }
-    SetError(error, "policy label \"" + label +
-                        "\": ts-promo needs a > 0, b > 0, c >= 0");
+  size_t protect = 0;
+  if (PlackettLucePolicy::ParseLabel(label, &temperature)) {
+    policy = MakePlackettLucePolicy(temperature);
+    ranges = "plackett-luce temperature must be finite and > 0";
+  } else if (EpsilonTailPolicy::ParseLabel(label, &epsilon, &protect)) {
+    policy = MakeEpsilonTailPolicy(epsilon, protect);
+    ranges = "eps-tail epsilon must be in [0, 1]";
+  } else if (ThompsonPromotionPolicy::ParseLabel(label, &pool_a, &pool_b,
+                                                 &evidence, &protect)) {
+    policy = MakeThompsonPromotionPolicy(pool_a, pool_b, evidence, protect);
+    ranges = "ts-promo needs finite a > 0, b > 0, c >= 0";
+  } else {
+    SetError(error, "unknown policy label \"" + label +
+                        "\"; known families: " + JoinPrefixes());
     return nullptr;
   }
-  SetError(error, "unknown policy label \"" + label +
-                      "\"; known families: " + JoinPrefixes());
-  return nullptr;
+  if (!policy->Valid()) {
+    SetError(error, "policy label \"" + label + "\": " + ranges);
+    return nullptr;
+  }
+  return policy;
 }
 
 std::vector<std::shared_ptr<const StochasticRankingPolicy>>

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -17,11 +18,9 @@ namespace randrank {
 
 /// What a ranking-policy family supports, declared up front so every layer
 /// can pick its fast path (or refuse) without hardwiring per-family
-/// knowledge. The serving, simulation, and model layers consult this
-/// descriptor instead of switching on a concrete type:
+/// knowledge. The simulation and model layers consult this descriptor
+/// instead of switching on a concrete type:
 ///
-///  * `ShardedRankServer` serves every family from one published global
-///    view plus the policy's `BuildEpochState` product;
 ///  * `Ranker::PageAtRank` uses the O(rank) lazy cascade only under
 ///    `lazy_prefix` and falls back to a prefix realization otherwise;
 ///  * `AgentSimulator` / `MeanFieldModel` reject families whose
@@ -31,32 +30,23 @@ struct PolicyCapabilities {
   /// Prefix realizations cost O(m) expected time (and rank resolutions
   /// O(rank)) — the property behind MergePrefix/ResolveRankLazy.
   bool lazy_prefix = false;
-  /// Everything invariant across queries within one epoch — the pre-merged
-  /// global deterministic order + pool, and whatever `BuildEpochState`
-  /// derives from them (the promotion family's protected-prefix splice
-  /// state, Plackett-Luce's alias table, epsilon-tail's cached head) — may
-  /// be materialized once per epoch and reused by every query.
-  bool epoch_state = false;
-  /// A multi-shard realization reproduces the unsharded law exactly.
-  bool sharded_merge = false;
   /// The agent simulator's ghost placement and visit dynamics apply.
   bool agent_sim = false;
   /// A mean-field visit map exists for this family.
   bool mean_field = false;
 };
 
-/// A borrowed, immutable view of one shard's ranking state: the
+/// A borrowed, immutable view of the whole ranking state: the
 /// deterministically ordered pages (best first, with their scores kept
-/// alongside for weighted families and cross-shard interleaving) plus the
-/// stochastic pool. The serve layer builds one from its published
-/// `ServingView`; the core layer builds one from a `Ranker`.
-/// All arrays are borrowed — the owner must outlive the view.
-struct ShardView {
+/// alongside for weighted families) plus the stochastic pool. The serve
+/// layer builds one from its published `ServingView`; the core layer builds
+/// one from a `Ranker`. All arrays are borrowed — the owner must outlive the
+/// view.
+struct RankView {
   const uint32_t* det = nullptr;
   /// Sort keys of `det` (popularity; ties elsewhere by birth then id).
   /// May be null when no caller needs weights (promotion-family-only use).
   const double* det_score = nullptr;
-  const int64_t* det_birth = nullptr;
   size_t det_size = 0;
   const uint32_t* pool = nullptr;
   size_t pool_size = 0;
@@ -64,13 +54,12 @@ struct ShardView {
   size_t n() const { return det_size + pool_size; }
 };
 
-/// Opaque, policy-owned state derived once per epoch from the pre-merged
-/// global view and handed back to `ServePrefix` on every query of that
-/// epoch. Each family subclasses this with whatever it can precompute —
-/// Plackett-Luce's Walker/Vose alias table over exp(score/T), epsilon-tail's
-/// cached deterministic head — instead of the serve layer growing a new
-/// bespoke cache per family. Instances must be self-contained (no borrowed
-/// pointers into the view they were built from) and immutable after
+/// Opaque, policy-owned state derived once per epoch from the view and
+/// handed back to `ServePrefix` on every query of that epoch. A family
+/// subclasses this with whatever it can precompute — Plackett-Luce's
+/// Walker/Vose alias table over exp(score/T) — instead of the serve layer
+/// growing a bespoke cache per family. Instances must be self-contained (no
+/// borrowed pointers into the view they were built from) and immutable after
 /// construction, so one instance is shared lock-free by all serving threads
 /// and reclaimed with the epoch that built it.
 class PolicyEpochState {
@@ -78,23 +67,17 @@ class PolicyEpochState {
   virtual ~PolicyEpochState() = default;
 };
 
-/// Reusable per-caller scratch for ServePrefix: samplers, cursors, and
-/// buffers that would otherwise allocate on every query. One scratch per
-/// serving thread; a scratch must not be shared between concurrent calls.
-/// Policies use the subset they need and leave the rest untouched.
+/// Reusable per-caller scratch for ServePrefix: a sampler and buffers that
+/// would otherwise allocate on every query. One scratch per serving thread;
+/// a scratch must not be shared between concurrent calls. Policies use the
+/// subset they need and leave the rest untouched.
 struct PolicyScratch {
-  /// Per-view pool samplers (promotion family, multi-view path).
-  std::vector<PoolPrefixSampler> samplers;
-  /// Single global-pool sampler (promotion family, single view).
+  /// Pool sampler (promotion and ts-promo families).
   PoolPrefixSampler pool_sampler;
-  /// Per-shard deterministic-list cursors.
-  std::vector<size_t> cursors;
-  /// Pages already emitted this query (epsilon-tail rejection tracking).
+  /// Pages already emitted this query (rejection tracking).
   std::unordered_set<uint32_t> emitted;
   /// (key, page) buffer for weighted families (Plackett-Luce top-m).
   std::vector<std::pair<double, uint32_t>> keyed;
-  /// Spare id buffer (explicit-materialization fallbacks).
-  std::vector<uint32_t> ids;
 };
 
 /// A family of stochastic rankers: the policy owns (1) how pages are
@@ -104,11 +87,11 @@ struct PolicyScratch {
 /// interface exists so the next family is a single new class instead of a
 /// cross-cutting surgery through core, serve, sim, and bench.
 ///
-/// Contract: `ServePrefix` over several ShardViews that together partition
-/// the corpus must realize exactly the same distribution as over the single
-/// pre-merged global view, with or without the epoch state.
-/// Every realization drawn with the same policy over the same state is
-/// independent given `rng`.
+/// Contract: each family has one realization path, `ServePrefix` over the
+/// one view of the whole corpus. Its prefixes must follow the law of
+/// `MaterializeReference` over the same view, with or without the epoch
+/// state (the state only makes the draw cheaper). Every realization drawn
+/// with the same policy over the same state is independent given `rng`.
 class StochasticRankingPolicy {
  public:
   virtual ~StochasticRankingPolicy() = default;
@@ -120,7 +103,7 @@ class StochasticRankingPolicy {
 
   virtual PolicyCapabilities Capabilities() const = 0;
 
-  /// True when the family's parameters are in range and consistent.
+  /// True when the family's parameters are finite, in range and consistent.
   virtual bool Valid() const { return true; }
 
   /// Partition hook (subsumes PromoteToPool): whether a page with the given
@@ -132,56 +115,34 @@ class StochasticRankingPolicy {
   /// most families).
   virtual bool PoolMembership(bool zero_awareness, Rng& rng) const = 0;
 
-  /// Leading slots of the realization that are always filled from the
-  /// deterministic order (the paper's protected top k-1).
-  virtual size_t ProtectedPrefix() const { return 0; }
-
-  /// Merge hook (subsumes NextSlotFromPool): whether the next result-list
-  /// slot is filled from the pool (true) or the deterministic list (false),
-  /// given how many entries each side still has. Only meaningful for
-  /// families whose realization is the two-list cascade; others may ignore
-  /// it (the default never takes from the pool).
-  virtual bool NextSlot(size_t det_remaining, size_t pool_remaining,
-                        Rng& rng) const {
-    (void)det_remaining;
-    (void)rng;
-    return pool_remaining > 0 && det_remaining == 0;
-  }
-
-  /// Derives this family's per-epoch serving state from the pre-merged
-  /// global view, or returns null when the family keeps none (the default —
-  /// correct for families whose epoch-invariant state is exactly the merged
-  /// view itself, like the promotion splice). Called once per
-  /// Ranker::Update / epoch publish, never on the
-  /// query path, and must not draw randomness (epoch state is a
-  /// deterministic function of the ranking state). The returned object obeys
-  /// the PolicyEpochState contract: self-contained and immutable.
+  /// Derives this family's per-epoch serving state from the view, or
+  /// returns null when the family keeps none (the default — correct for
+  /// families whose epoch-invariant state is exactly the view itself).
+  /// Called once per Ranker::Update / epoch publish, never on the query
+  /// path, and must not draw randomness (epoch state is a deterministic
+  /// function of the ranking state). The returned object obeys the
+  /// PolicyEpochState contract: self-contained and immutable.
   virtual std::shared_ptr<const PolicyEpochState> BuildEpochState(
-      const ShardView& global) const {
-    (void)global;
+      const RankView& view) const {
+    (void)view;
     return nullptr;
   }
 
-  /// Appends the first min(m, n) slots of a fresh realization over the
-  /// given shard views — which together hold the complete corpus — and
-  /// returns how many were appended. A single view is the pre-merged global
-  /// state (the server's published view and the Ranker); several views
-  /// require the policy to interleave them per the global law.
-  /// `epoch_state` is either null or the product of this policy's
-  /// BuildEpochState over exactly the single global view being served
+  /// Appends the first min(m, view.n()) slots of a fresh realization over
+  /// `view` and returns how many were appended. `epoch_state` is either null
+  /// or the product of this policy's BuildEpochState over exactly this view
   /// (never over a different epoch's view — the owner of the view owns its
   /// state); policies with no state ignore it. `scratch` is caller-owned and
   /// reused across queries.
-  virtual size_t ServePrefix(const ShardView* views, size_t num_views,
+  virtual size_t ServePrefix(const RankView& view,
                              const PolicyEpochState* epoch_state,
                              PolicyScratch& scratch, size_t m, Rng& rng,
                              std::vector<uint32_t>* out) const = 0;
 
-  /// Reference realization of the full list over the pre-merged global
-  /// view, implemented naively and independently of the ServePrefix fast
-  /// path where possible — the distribution-equivalence tests compare the
-  /// two. Not a hot path.
-  virtual std::vector<uint32_t> MaterializeReference(const ShardView& global,
+  /// Reference realization of the full list over the view, implemented
+  /// naively and independently of the ServePrefix fast path where possible
+  /// — the distribution-equivalence tests compare the two. Not a hot path.
+  virtual std::vector<uint32_t> MaterializeReference(const RankView& view,
                                                      Rng& rng) const = 0;
 
   /// Downcast hook: the promotion family's configuration, or nullptr for
@@ -191,13 +152,16 @@ class StochasticRankingPolicy {
   virtual const RankPromotionConfig* AsPromotion() const { return nullptr; }
 };
 
-/// One step of the V-way deterministic interleave over ShardViews: the index
-/// of the view whose det-list head (at its cursor) is next under the global
-/// sort key RankOrderBefore, or `num_views` when every list is exhausted.
-/// Multi-view realizations interleave through it so they reproduce the
-/// single-view order exactly.
-size_t BestViewHead(const ShardView* views, const size_t* cursors,
-                    size_t num_views);
+/// snprintf into a string as long as the label needs: a fixed buffer would
+/// truncate a large finite parameter, and a truncated Label() no longer
+/// parses back.
+template <typename... Args>
+std::string FormatLabel(const char* format, Args... args) {
+  const int size = std::snprintf(nullptr, 0, format, args...);
+  std::string label(static_cast<size_t>(size), '\0');
+  std::snprintf(label.data(), label.size() + 1, format, args...);
+  return label;
+}
 
 }  // namespace randrank
 

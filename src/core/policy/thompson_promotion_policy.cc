@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 
@@ -46,7 +47,7 @@ double SampleBeta(double a, double b, Rng& rng) {
 }
 
 /// Normalized evidence score of a deterministic head: its rank score over
-/// the global maximum, clamped to [0, 1] (degenerate all-zero scores give a
+/// the view's maximum, clamped to [0, 1] (degenerate all-zero scores give a
 /// neutral 1/2).
 double NormalizedScore(double score, double max_score) {
   if (!(max_score > 0.0)) return 0.5;
@@ -56,10 +57,8 @@ double NormalizedScore(double score, double max_score) {
 }  // namespace
 
 std::string ThompsonPromotionPolicy::Label() const {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "ts-promo(a=%.2f,b=%.2f,c=%.1f,k=%zu)", a_,
-                b_, evidence_, protect_);
-  return buf;
+  return FormatLabel("ts-promo(a=%.2f,b=%.2f,c=%.1f,k=%zu)", a_, b_, evidence_,
+                     protect_);
 }
 
 bool ThompsonPromotionPolicy::ParseLabel(const std::string& label, double* a,
@@ -69,10 +68,13 @@ bool ThompsonPromotionPolicy::ParseLabel(const std::string& label, double* a,
   double pb = 0.0;
   double pc = 0.0;
   size_t k = 0;
+  int k_at = 0;
   int consumed = 0;
-  if (std::sscanf(label.c_str(), "ts-promo(a=%lf,b=%lf,c=%lf,k=%zu)%n", &pa,
-                  &pb, &pc, &k, &consumed) != 4 ||
-      static_cast<size_t>(consumed) != label.size()) {
+  // %zu accepts a sign and wraps "-1" to SIZE_MAX: require a digit.
+  if (std::sscanf(label.c_str(), "ts-promo(a=%lf,b=%lf,c=%lf,k=%n%zu)%n", &pa,
+                  &pb, &pc, &k_at, &k, &consumed) != 4 ||
+      static_cast<size_t>(consumed) != label.size() ||
+      !std::isdigit(static_cast<unsigned char>(label[k_at]))) {
     return false;
   }
   *a = pa;
@@ -82,98 +84,60 @@ bool ThompsonPromotionPolicy::ParseLabel(const std::string& label, double* a,
   return true;
 }
 
-size_t ThompsonPromotionPolicy::ServePrefix(const ShardView* views,
-                                            size_t num_views,
+size_t ThompsonPromotionPolicy::ServePrefix(const RankView& view,
                                             const PolicyEpochState* epoch_state,
                                             PolicyScratch& scratch, size_t m,
                                             Rng& rng,
                                             std::vector<uint32_t>* out) const {
-  // No policy-owned epoch state (the merged view is the invariant); the
-  // cached and sharded paths run the same per-slot cascade, the former with
-  // num_views == 1.
-  (void)epoch_state;
-  assert(num_views > 0);
+  (void)epoch_state;  // stateless: the view is the whole invariant
+  assert(view.det_size == 0 || view.det_score != nullptr);
+  scratch.pool_sampler.Reset(view.pool, view.pool_size);
+  // The duel normalizes head scores by the maximum, the first entry of the
+  // descending det list.
+  const double max_score = view.det_size > 0 ? view.det_score[0] : 0.0;
+  const size_t count = std::min(m, view.n());
 
-  scratch.cursors.assign(num_views, 0);
-  scratch.samplers.resize(num_views);
-  size_t det_remaining = 0;
-  size_t pool_remaining = 0;
-  // The duel normalizes head scores by the GLOBAL maximum — the first entry
-  // of each view's (descending) det list, maximized across views — so the
-  // multi-view law matches the single pre-merged view exactly.
-  double max_score = 0.0;
-  for (size_t v = 0; v < num_views; ++v) {
-    det_remaining += views[v].det_size;
-    pool_remaining += views[v].pool_size;
-    scratch.samplers[v].Reset(views[v].pool, views[v].pool_size);
-    if (views[v].det_size > 0) {
-      assert(views[v].det_score != nullptr &&
-             "ts-promo needs det scores for the evidence duel");
-      max_score = std::max(max_score, views[v].det_score[0]);
-    }
-  }
-  const size_t count = std::min(m, det_remaining + pool_remaining);
-
-  const auto take_det = [&]() -> uint32_t {
-    const size_t best = BestViewHead(views, scratch.cursors.data(), num_views);
-    assert(best < num_views);
-    --det_remaining;
-    return views[best].det[scratch.cursors[best]++];
-  };
-  const auto take_pool = [&]() -> uint32_t {
-    // Uniform over the union of the views' pools: pick a view by its
-    // remaining pool mass, then draw without replacement inside it.
-    uint64_t t = rng.NextIndex(pool_remaining);
-    size_t v = 0;
-    while (t >= scratch.samplers[v].remaining()) {
-      t -= scratch.samplers[v].remaining();
-      ++v;
-    }
-    --pool_remaining;
-    return scratch.samplers[v].Next(rng);
-  };
-
+  size_t cursor = 0;
   size_t appended = 0;
   while (appended < count) {
+    const size_t det_remaining = view.det_size - cursor;
     bool from_pool;
     if (appended < protect_ && det_remaining > 0) {
       from_pool = false;  // protected prefix never duels
     } else if (det_remaining == 0) {
       from_pool = true;
-    } else if (pool_remaining == 0) {
+    } else if (scratch.pool_sampler.remaining() == 0) {
       from_pool = false;
     } else {
-      const size_t best =
-          BestViewHead(views, scratch.cursors.data(), num_views);
-      const double s = NormalizedScore(
-          views[best].det_score[scratch.cursors[best]], max_score);
+      const double s = NormalizedScore(view.det_score[cursor], max_score);
       const double theta_det =
           SampleBeta(1.0 + evidence_ * s, 1.0 + evidence_ * (1.0 - s), rng);
       const double theta_pool = SampleBeta(a_, b_, rng);
       from_pool = theta_pool > theta_det;
     }
-    out->push_back(from_pool ? take_pool() : take_det());
+    out->push_back(from_pool ? scratch.pool_sampler.Next(rng)
+                             : view.det[cursor++]);
     ++appended;
   }
   return count;
 }
 
 std::vector<uint32_t> ThompsonPromotionPolicy::MaterializeReference(
-    const ShardView& global, Rng& rng) const {
+    const RankView& view, Rng& rng) const {
   // Naive slot-by-slot realization over explicit remaining lists; the
   // independent reference the distribution-equivalence tests compare
   // ServePrefix against. Same duel, different plumbing: the pool is an
   // explicit swap-pop vector instead of a lazy sampler.
-  std::vector<uint32_t> pool(global.pool, global.pool + global.pool_size);
+  std::vector<uint32_t> pool(view.pool, view.pool + view.pool_size);
   std::vector<uint32_t> out;
-  out.reserve(global.n());
+  out.reserve(view.n());
   const double max_score =
-      global.det_size > 0 && global.det_score != nullptr ? global.det_score[0]
+      view.det_size > 0 && view.det_score != nullptr ? view.det_score[0]
                                                          : 0.0;
   size_t det_cursor = 0;
-  while (out.size() < global.n()) {
+  while (out.size() < view.n()) {
     bool from_pool;
-    const size_t det_remaining = global.det_size - det_cursor;
+    const size_t det_remaining = view.det_size - det_cursor;
     if (out.size() < protect_ && det_remaining > 0) {
       from_pool = false;
     } else if (det_remaining == 0) {
@@ -181,9 +145,9 @@ std::vector<uint32_t> ThompsonPromotionPolicy::MaterializeReference(
     } else if (pool.empty()) {
       from_pool = false;
     } else {
-      assert(global.det_score != nullptr);
+      assert(view.det_score != nullptr);
       const double s =
-          NormalizedScore(global.det_score[det_cursor], max_score);
+          NormalizedScore(view.det_score[det_cursor], max_score);
       const double theta_det =
           SampleBeta(1.0 + evidence_ * s, 1.0 + evidence_ * (1.0 - s), rng);
       const double theta_pool = SampleBeta(a_, b_, rng);
@@ -195,7 +159,7 @@ std::vector<uint32_t> ThompsonPromotionPolicy::MaterializeReference(
       pool[pick] = pool.back();
       pool.pop_back();
     } else {
-      out.push_back(global.det[det_cursor++]);
+      out.push_back(view.det[det_cursor++]);
     }
   }
   return out;

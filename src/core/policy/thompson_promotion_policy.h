@@ -1,6 +1,7 @@
 #ifndef RANDRANK_CORE_POLICY_THOMPSON_PROMOTION_POLICY_H_
 #define RANDRANK_CORE_POLICY_THOMPSON_PROMOTION_POLICY_H_
 
+#include <cmath>
 #include <memory>
 #include <string>
 
@@ -37,14 +38,11 @@ class ThompsonPromotionPolicy final : public StochasticRankingPolicy {
 
   std::string Label() const override;
   PolicyCapabilities Capabilities() const override {
-    return {.lazy_prefix = true,
-            .epoch_state = true,
-            .sharded_merge = true,
-            .agent_sim = false,
-            .mean_field = false};
+    return {.lazy_prefix = true, .agent_sim = false, .mean_field = false};
   }
   bool Valid() const override {
-    return a_ > 0.0 && b_ > 0.0 && evidence_ >= 0.0;
+    return a_ > 0.0 && b_ > 0.0 && evidence_ >= 0.0 && std::isfinite(a_) &&
+           std::isfinite(b_) && std::isfinite(evidence_);
   }
 
   /// Selective partition: zero-awareness pages form the pool.
@@ -52,22 +50,21 @@ class ThompsonPromotionPolicy final : public StochasticRankingPolicy {
     (void)rng;
     return zero_awareness;
   }
-  size_t ProtectedPrefix() const override { return protect_; }
 
-  /// The epoch-invariant state is exactly the pre-merged global view (like
-  /// the promotion splice): nothing extra to build.
+  /// The epoch-invariant state is exactly the view (like the promotion
+  /// splice): nothing extra to build.
 
-  size_t ServePrefix(const ShardView* views, size_t num_views,
-                     const PolicyEpochState* epoch_state,
+  size_t ServePrefix(const RankView& view, const PolicyEpochState* epoch_state,
                      PolicyScratch& scratch, size_t m, Rng& rng,
                      std::vector<uint32_t>* out) const override;
 
-  std::vector<uint32_t> MaterializeReference(const ShardView& global,
+  std::vector<uint32_t> MaterializeReference(const RankView& view,
                                              Rng& rng) const override;
 
   /// Inverse of Label(): parses "ts-promo(a=F,b=F,c=F,k=N)" into the out
   /// params and returns true; false (leaving them untouched) on any other
-  /// string. Syntactic only — the caller range-checks via Valid().
+  /// string, including a signed k. Syntactic only — the caller range-checks
+  /// via Valid().
   static bool ParseLabel(const std::string& label, double* a, double* b,
                          double* evidence, size_t* protect);
 

@@ -4,22 +4,11 @@
 #include <cassert>
 #include <numeric>
 
-#include "core/policy/promotion_policy.h"
-
 namespace randrank {
 
-size_t MergePrefix(const RankPromotionConfig& config,
-                   const std::vector<uint32_t>& det,
-                   const std::vector<uint32_t>& pool, size_t m, Rng& rng,
-                   std::vector<uint32_t>* out) {
-  PoolPrefixSampler sampler(pool.data(), pool.size());
-  return MergePrefixCached(config, det.data(), det.size(), sampler, m, rng,
-                           out);
-}
-
-size_t MergePrefixCached(const RankPromotionConfig& config, const uint32_t* det,
-                         size_t det_size, PoolPrefixSampler& sampler, size_t m,
-                         Rng& rng, std::vector<uint32_t>* out) {
+size_t MergePrefix(const RankPromotionConfig& config, const uint32_t* det,
+                   size_t det_size, PoolPrefixSampler& sampler, size_t m,
+                   Rng& rng, std::vector<uint32_t>* out) {
   const size_t count = std::min(m, det_size + sampler.remaining());
   const size_t protected_prefix = std::min(config.k - 1, det_size);
   size_t d = 0;
@@ -77,9 +66,6 @@ uint32_t ResolveRankLazy(const RankPromotionConfig& config,
   return 0;
 }
 
-Ranker::Ranker(RankPromotionConfig config)
-    : Ranker(MakePromotionPolicy(config)) {}
-
 Ranker::Ranker(std::shared_ptr<const StochasticRankingPolicy> policy)
     : policy_(std::move(policy)) {
   assert(policy_ != nullptr);
@@ -92,9 +78,9 @@ const RankPromotionConfig& Ranker::config() const {
   return *config;
 }
 
-ShardView Ranker::GlobalView() const {
-  return {det_.data(),   det_score_.data(), det_birth_.data(),
-          det_.size(),   pool_.data(),      pool_.size()};
+RankView Ranker::View() const {
+  return {det_.data(), det_score_.data(), det_.size(), pool_.data(),
+          pool_.size()};
 }
 
 void Ranker::Update(const std::vector<double>& popularity,
@@ -117,23 +103,18 @@ void Ranker::Update(const std::vector<double>& popularity,
                            birth_step[b], b);
   });
   det_score_.clear();
-  det_birth_.clear();
   det_score_.reserve(det_.size());
-  det_birth_.reserve(det_.size());
-  for (const uint32_t p : det_) {
-    det_score_.push_back(popularity[p]);
-    det_birth_.push_back(birth_step[p]);
-  }
+  for (const uint32_t p : det_) det_score_.push_back(popularity[p]);
   // Per-epoch policy state (no Rng by contract, so promotion-family bit
   // compatibility with pre-policy seeds is unaffected).
-  epoch_state_ = policy_->BuildEpochState(GlobalView());
+  epoch_state_ = policy_->BuildEpochState(View());
 }
 
 std::vector<uint32_t> Ranker::MaterializeList(Rng& rng) const {
   if (policy_->AsPromotion() != nullptr) {
     return MaterializeWithPositions(rng, nullptr, nullptr);
   }
-  return policy_->MaterializeReference(GlobalView(), rng);
+  return policy_->MaterializeReference(View(), rng);
 }
 
 std::vector<uint32_t> Ranker::MaterializeWithPositions(
@@ -185,9 +166,8 @@ uint32_t Ranker::PageAtRank(size_t rank, Rng& rng) const {
 std::vector<uint32_t> Ranker::TopM(size_t m, Rng& rng) const {
   std::vector<uint32_t> out;
   out.reserve(std::min(m, n()));
-  const ShardView view = GlobalView();
   PolicyScratch scratch;
-  policy_->ServePrefix(&view, 1, epoch_state_.get(), scratch, m, rng, &out);
+  policy_->ServePrefix(View(), epoch_state_.get(), scratch, m, rng, &out);
   return out;
 }
 

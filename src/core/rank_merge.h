@@ -14,10 +14,9 @@ namespace randrank {
 
 /// The global deterministic ranking key (Appendix A): popularity descending,
 /// ties by age (older, i.e. smaller birth step, first), then by page id.
-/// Every sorted deterministic list in the system — Ranker::Update, the
-/// per-shard serving snapshots, and the cross-shard merge — must order by
-/// exactly this predicate, or sharded serving silently stops matching the
-/// unsharded distribution. Keep it in one place.
+/// Every sorted deterministic list in the system — Ranker::Update and the
+/// server's epoch build — must order by exactly this predicate, or serving
+/// silently stops matching the simulated distribution. Keep it in one place.
 inline bool RankOrderBefore(double score_a, int64_t birth_a, uint32_t page_a,
                             double score_b, int64_t birth_b, uint32_t page_b) {
   if (score_a != score_b) return score_a > score_b;
@@ -28,8 +27,8 @@ inline bool RankOrderBefore(double score_a, int64_t birth_a, uint32_t page_a,
 /// The promotion-pool membership decision (paper Section 4): whether a page
 /// with the given zero-awareness flag enters Pp under `config`. Like
 /// RankOrderBefore, this is the single source of truth — Ranker::Update, the
-/// serving snapshots, and the simulator's ghost placement must all agree or
-/// sharded serving silently diverges from the simulated distribution. Draws
+/// server's epoch build, and the simulator's ghost placement must all agree
+/// or serving silently diverges from the simulated distribution. Draws
 /// from `rng` only under the uniform rule.
 inline bool PromoteToPool(const RankPromotionConfig& config,
                           bool zero_awareness, Rng& rng) {
@@ -57,22 +56,13 @@ inline bool NextSlotFromPool(double r, size_t det_remaining,
   return rng.NextBernoulli(r);
 }
 
-/// Appends the first min(m, det.size() + pool.size()) slots of a fresh
-/// random realization of the merged list to `out` and returns how many were
-/// appended. Identical in distribution to the prefix of MaterializeList, but
-/// costs O(m + k) expected time instead of O(n): the deterministic list is
-/// consumed in order and pool draws use a PoolPrefixSampler. This is the
-/// serve-path primitive behind ShardedRankServer.
-size_t MergePrefix(const RankPromotionConfig& config,
-                   const std::vector<uint32_t>& det,
-                   const std::vector<uint32_t>& pool, size_t m, Rng& rng,
-                   std::vector<uint32_t>* out);
-
-/// Cache-aware core of MergePrefix: splices the randomized tail onto an
-/// *already merged* deterministic order (`det`, best first) using a
-/// caller-owned sampler over the pool. The caller pays for the deterministic
-/// merge once (e.g. per serving epoch, see serve/serving_view.h) and
-/// every query is then the protected-prefix copy plus O(m) tail work.
+/// Appends the first min(m, det_size + sampler.remaining()) slots of a
+/// fresh random realization of the merged list to `out` and returns how many
+/// were appended: the protected prefix of `det` (an already merged
+/// deterministic order, best first), then the randomized tail spliced in
+/// with a caller-owned sampler over the pool. Identical in distribution to
+/// the prefix of MaterializeList, but costs O(m + k) expected time instead
+/// of O(n). This is the promotion family's serve-path primitive.
 ///
 /// `sampler` must be Reset() over the pool before each call; it is consumed
 /// by the draws this call makes. While neither side can run dry within the
@@ -81,13 +71,13 @@ size_t MergePrefix(const RankPromotionConfig& config,
 /// a small m against a large corpus; the coin outcomes and pool draws stay
 /// independent uniforms, so the realization distribution is exactly that of
 /// the slot-by-slot cascade in MaterializeList.
-size_t MergePrefixCached(const RankPromotionConfig& config, const uint32_t* det,
-                         size_t det_size, PoolPrefixSampler& sampler, size_t m,
-                         Rng& rng, std::vector<uint32_t>* out);
+size_t MergePrefix(const RankPromotionConfig& config, const uint32_t* det,
+                   size_t det_size, PoolPrefixSampler& sampler, size_t m,
+                   Rng& rng, std::vector<uint32_t>* out);
 
 /// Resolves the page occupying `rank` (1-based) in an independent random
 /// realization of (det, pool) merged under `config`, in O(rank) time.
-/// Shared by Ranker::PageAtRank and the serving snapshots.
+/// Backs Ranker::PageAtRank for the promotion family.
 uint32_t ResolveRankLazy(const RankPromotionConfig& config,
                          const std::vector<uint32_t>& det,
                          const std::vector<uint32_t>& pool, size_t rank,
@@ -100,8 +90,8 @@ uint32_t ResolveRankLazy(const RankPromotionConfig& config,
 ///  1. Split pages into the stochastic pool Pp (per the policy's
 ///     PoolMembership hook) and the rest, which forms the deterministic
 ///     list Ld sorted by descending popularity (ties broken by age, older
-///     first, as in Appendix A). Scores and birth steps are kept alongside
-///     for weighted families and cross-shard interleaving.
+///     first, as in Appendix A). Scores are kept alongside for weighted
+///     families.
 ///  2. Produce result lists: either a full materialized permutation, or a
 ///     prefix/per-rank realization through the policy's ServePrefix hook.
 ///
@@ -114,9 +104,6 @@ uint32_t ResolveRankLazy(const RankPromotionConfig& config,
 /// back to a length-j prefix realization per visit.
 class Ranker {
  public:
-  /// Promotion-family convenience: equivalent to constructing from
-  /// MakePromotionPolicy(config), bit-for-bit including Rng consumption.
-  explicit Ranker(RankPromotionConfig config);
   explicit Ranker(std::shared_ptr<const StochasticRankingPolicy> policy);
 
   /// Recomputes pool membership and the deterministic order from current
@@ -124,7 +111,7 @@ class Ranker {
   /// no monitored user has visited p; `birth_step[p]` breaks popularity ties
   /// (smaller = older = ranked better). The uniform rule re-samples pool
   /// membership on every call. Also rebuilds the policy's per-epoch state
-  /// (BuildEpochState over the fresh global view — e.g. Plackett-Luce's
+  /// (BuildEpochState over the fresh view — e.g. Plackett-Luce's
   /// alias table), which TopM/PageAtRank then reuse on every realization.
   void Update(const std::vector<double>& popularity,
               const std::vector<uint8_t>& zero_awareness,
@@ -169,20 +156,16 @@ class Ranker {
   size_t n() const { return det_.size() + pool_.size(); }
 
  private:
-  /// The complete corpus as one pre-merged global view (borrowing this
-  /// ranker's arrays; valid until the next Update).
-  ShardView GlobalView() const;
+  /// The complete corpus as one view (borrowing this ranker's arrays; valid
+  /// until the next Update).
+  RankView View() const;
 
   std::shared_ptr<const StochasticRankingPolicy> policy_;
   std::vector<uint32_t> det_;
-  // Scores and birth steps are kept so GlobalView() satisfies the full
-  // ShardView contract (weighted families read scores; births are the
-  // interleave tiebreaker) — pre-paid even where today's single-view calls
-  // never compare, so policies need no null-view special cases.
+  // Scores are kept so weighted families can read them through View().
   std::vector<double> det_score_;
-  std::vector<int64_t> det_birth_;
   std::vector<uint32_t> pool_;
-  // Policy-owned per-epoch state over GlobalView(), rebuilt by Update and
+  // Policy-owned per-epoch state over View(), rebuilt by Update and
   // handed to every ServePrefix; null for stateless families.
   std::shared_ptr<const PolicyEpochState> epoch_state_;
 };

@@ -1,6 +1,7 @@
 #include "fault/fault.h"
 
 #include <chrono>
+#include <limits>
 #include <thread>
 #include <unordered_map>
 
@@ -57,7 +58,11 @@ bool ParseU64(std::string_view s, uint64_t* out) {
   uint64_t value = 0;
   for (const char c : s) {
     if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
+    const auto digit = static_cast<uint64_t>(c - '0');
+    if (value > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
+      return false;  // would wrap
+    }
+    value = value * 10 + digit;
   }
   *out = value;
   return true;

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "core/policy/promotion_policy.h"
+
 namespace randrank {
 
 ItemSchedule ItemSchedule::Make(size_t items, size_t lifetime, double exponent,
@@ -29,7 +31,7 @@ JokeSiteGroup::JokeSiteGroup(const ItemSchedule& schedule,
     : schedule_(schedule),
       opts_(options),
       rng_(options.seed),
-      ranker_(config),
+      ranker_(MakePromotionPolicy(config)),
       rank_sampler_(schedule.funniness.size(), 1.5) {
   const size_t items = schedule_.funniness.size();
   funny_count_.assign(items, 0);

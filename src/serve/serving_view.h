@@ -80,10 +80,10 @@ struct ServingView {
     return det.size() * (sizeof(uint32_t) + sizeof(double)) +
            pool.size() * sizeof(uint32_t);
   }
-  /// The view as a borrowed single policy view (valid while it lives).
-  ShardView AsView() const {
-    return {det.data(), det_score.data(), nullptr,
-            det.size(), pool.data(),      pool.size()};
+  /// The view as the policies' borrowed RankView (valid while it lives).
+  RankView AsView() const {
+    return {det.data(), det_score.data(), det.size(), pool.data(),
+            pool.size()};
   }
 };
 

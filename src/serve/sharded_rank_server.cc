@@ -4,7 +4,6 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "core/policy/promotion_policy.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -65,10 +64,6 @@ ShardedRankServer::ShardedRankServer(
     stale_epochs_gauge_->Set(0.0);
   }
 }
-
-ShardedRankServer::ShardedRankServer(RankPromotionConfig config,
-                                     size_t num_pages, ServeOptions options)
-    : ShardedRankServer(MakePromotionPolicy(config), num_pages, options) {}
 
 std::shared_ptr<const StochasticRankingPolicy> ShardedRankServer::policy()
     const {
@@ -372,9 +367,8 @@ size_t ShardedRankServer::ServeUninstrumented(
   // pool and policy state were materialized once at publish, so this is the
   // per-query realization only (promotion: protected-prefix copy + O(m)
   // splice; Plackett-Luce: O(m) expected alias draws; epsilon-tail: head
-  // memcpy + explored slots only).
-  const ShardView global = view.AsView();
-  return view.policy->ServePrefix(&global, 1, view.policy_state.get(),
+  // copy + explored slots only).
+  return view.policy->ServePrefix(view.AsView(), view.policy_state.get(),
                                   ctx.scratch_, m, ctx.rng_, out);
 }
 

@@ -140,11 +140,6 @@ class ShardedRankServer {
   ShardedRankServer(std::shared_ptr<const StochasticRankingPolicy> policy,
                     size_t num_pages, ServeOptions options = {});
 
-  /// Promotion-family convenience: bit-identical (including every Rng
-  /// stream) to constructing with MakePromotionPolicy(config).
-  ShardedRankServer(RankPromotionConfig config, size_t num_pages,
-                    ServeOptions options = {});
-
   // --- Writer API (one thread at a time) ---
 
   /// Builds the next epoch from global page state and publishes it. Safe

@@ -6,6 +6,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/policy/promotion_policy.h"
+
 namespace randrank {
 
 namespace {
@@ -57,7 +59,7 @@ AgentSimulator::AgentSimulator(const CommunityParams& params,
       config_(config),
       opts_(options),
       rng_(options.seed),
-      ranker_(config),
+      ranker_(MakePromotionPolicy(config)),
       rank_sampler_(params.n, params.rank_bias_exponent) {
   assert(params_.Valid());
   assert(config_.Valid());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <future>
 #include <memory>
 #include <string>
@@ -15,6 +16,7 @@
 #include "obs/metrics.h"
 #include "serve/batch_queue.h"
 #include "serve/sharded_rank_server.h"
+#include "util/rng.h"
 
 #include "serve_fixture.h"
 
@@ -75,6 +77,112 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
   EXPECT_NE(error.find("without point"), std::string::npos) << error;
   EXPECT_FALSE(FaultPlan::Parse("point=a,justaword", &plan, &error));
   EXPECT_NE(error.find("'='"), std::string::npos) << error;
+  // Numbers past 2^64 - 1 are rejected, not wrapped (nth=2^64 would arm
+  // nth=0, "no constraint"), and so is a fraction whose digits overflow.
+  EXPECT_FALSE(FaultPlan::Parse("point=a,nth=18446744073709551616", &plan,
+                                &error));
+  EXPECT_NE(error.find("bad value"), std::string::npos) << error;
+  EXPECT_FALSE(FaultPlan::Parse("seed=99999999999999999999", &plan, &error));
+  EXPECT_FALSE(
+      FaultPlan::Parse("point=a,prob=0.99999999999999999999", &plan, &error));
+  ASSERT_TRUE(
+      FaultPlan::Parse("point=a,nth=18446744073709551615", &plan, &error))
+      << error;
+  EXPECT_EQ(plan.rules[0].nth, 18446744073709551615u);
+}
+
+/// The text form of a parsed plan, for the round-trip oracle below.
+std::string FormatPlan(const FaultPlan& plan) {
+  static const char* const kActions[] = {"fail", "delay", "partial", "reset"};
+  std::string text = "seed=" + std::to_string(plan.seed);
+  for (const fault::Rule& rule : plan.rules) {
+    char prob[32];
+    std::snprintf(prob, sizeof(prob), "%.15f", rule.prob);
+    text += ";point=" + rule.point +
+            ",action=" + kActions[static_cast<size_t>(rule.action)] +
+            ",nth=" + std::to_string(rule.nth) +
+            ",every=" + std::to_string(rule.every) + ",prob=" + prob +
+            ",from_epoch=" + std::to_string(rule.from_epoch) +
+            ",to_epoch=" + std::to_string(rule.to_epoch) +
+            ",max_fires=" + std::to_string(rule.max_fires) +
+            ",delay_us=" + std::to_string(rule.delay_us) +
+            ",bytes=" + std::to_string(rule.bytes);
+  }
+  return text;
+}
+
+// Mutation fuzz of the --fault-plan boundary, seeded with the CI chaos plan:
+// byte flips, truncations and splices of signs, non-finite spellings and
+// long digit runs. An accepted plan must print back to text that parses to
+// the same plan; a rejected one must say why.
+TEST(FaultPlanTest, FuzzedPlansParseOrReject) {
+  const std::string seed_plan =
+      "point=publish.rcu_publish,action=fail,every=2;"
+      "point=net.write,action=reset,prob=0.02;seed=7";
+  const std::vector<std::string> splices = {
+      "-", "+", "nan", "inf", "-inf", "1e999", "0", ";", ",", "=",
+      std::string(19, '9'), std::string(40, '9')};
+  Rng rng(2026);
+  size_t accepted = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    std::string spec = seed_plan;
+    const size_t edits = 1 + rng.NextIndex(3);
+    for (size_t e = 0; e < edits && !spec.empty(); ++e) {
+      switch (rng.NextIndex(3)) {
+        case 0:  // byte flip
+          spec[rng.NextIndex(spec.size())] =
+              static_cast<char>(rng.NextIndex(256));
+          break;
+        case 1:  // truncation
+          spec.resize(rng.NextIndex(spec.size()));
+          break;
+        default: {  // splice, usually over one field's value
+          const std::string& text = splices[rng.NextIndex(splices.size())];
+          size_t at = rng.NextIndex(spec.size() + 1);
+          size_t len = 0;
+          const size_t eq = spec.find('=', at);
+          if (eq != std::string::npos && rng.NextBernoulli(0.8)) {
+            at = eq + 1;
+            len = spec.find_first_of(",;", at);
+            len = (len == std::string::npos ? spec.size() : len) - at;
+          }
+          spec.replace(at, len, text);
+        }
+      }
+    }
+    FaultPlan plan;
+    std::string error;
+    if (!FaultPlan::Parse(spec, &plan, &error)) {
+      EXPECT_FALSE(error.empty()) << spec;
+      continue;
+    }
+    ++accepted;
+    FaultPlan again;
+    const std::string text = FormatPlan(plan);
+    ASSERT_TRUE(FaultPlan::Parse(text, &again, &error))
+        << spec << " -> " << text << ": " << error;
+    EXPECT_EQ(again.seed, plan.seed) << spec;
+    ASSERT_EQ(again.rules.size(), plan.rules.size()) << spec;
+    for (size_t r = 0; r < plan.rules.size(); ++r) {
+      const fault::Rule& a = plan.rules[r];
+      const fault::Rule& b = again.rules[r];
+      EXPECT_FALSE(a.point.empty()) << spec;
+      EXPECT_GE(a.prob, 0.0) << spec;
+      EXPECT_LE(a.prob, 1.0) << spec;
+      EXPECT_EQ(b.point, a.point) << spec;
+      EXPECT_EQ(b.action, a.action) << spec;
+      EXPECT_EQ(b.nth, a.nth) << spec;
+      EXPECT_EQ(b.every, a.every) << spec;
+      EXPECT_NEAR(b.prob, a.prob, 1e-12) << spec;
+      EXPECT_EQ(b.from_epoch, a.from_epoch) << spec;
+      EXPECT_EQ(b.to_epoch, a.to_epoch) << spec;
+      EXPECT_EQ(b.max_fires, a.max_fires) << spec;
+      EXPECT_EQ(b.delay_us, a.delay_us) << spec;
+      EXPECT_EQ(b.bytes, a.bytes) << spec;
+    }
+  }
+  // Value splices keep a share of the plans well-formed.
+  EXPECT_GT(accepted, 100u);
 }
 
 TEST(FaultPlanTest, EmptyAndBareSeedSpecsAreValid) {
@@ -208,7 +316,7 @@ std::unique_ptr<ShardedRankServer> MakeServer(size_t n,
   opts.seed = 11;
   opts.metrics = metrics;
   return std::make_unique<ShardedRankServer>(
-      RankPromotionConfig::Selective(0.3, 2), n, opts);
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)), n, opts);
 }
 
 // Injects one kFail at `point` during the second publish (one that changes
@@ -278,7 +386,7 @@ void ExpectPublishRollsBackAt(std::string_view point) {
   ShardedRankServer::Context c2 = faulty->CreateContext();
   EXPECT_EQ(faulty->ServeTopM(c2, 10, &a), 10u);
 
-  Ranker scratch(RankPromotionConfig::Selective(0.3, 2));
+  Ranker scratch(MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)));
   Rng rng(1);
   scratch.Update(doomed.popularity, doomed.zero, doomed.birth, rng);
   const auto view = faulty->view();

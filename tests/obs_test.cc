@@ -390,7 +390,8 @@ TEST(ServeObsTest, PublishEmitsAllPhaseSpans) {
   ServeOptions opts;
   opts.metrics = &reg;
   opts.trace = &trace;
-  ShardedRankServer server(RankPromotionConfig::Selective(0.3, 2), n, opts);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)), n, opts);
   server.Update(fx.popularity, fx.zero, fx.birth);
 
   std::set<std::string> names = SpanNames(trace);
@@ -446,7 +447,8 @@ TEST(ServeObsTest, QueriesRecordHistogramAndSpans) {
   ServeOptions opts;
   opts.metrics = &reg;
   opts.trace = &trace;
-  ShardedRankServer server(RankPromotionConfig::Selective(0.3, 2), n, opts);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)), n, opts);
   server.Update(fx.popularity, fx.zero, fx.birth);
   trace.Drain();  // discard the publish spans
 
@@ -472,7 +474,8 @@ TEST(ServeObsTest, QueriesRecordHistogramAndSpans) {
 TEST(ServeObsTest, UninstrumentedServerStaysBare) {
   const size_t n = 300;
   Fixture fx(n, 30);
-  ShardedRankServer server(RankPromotionConfig::Selective(0.3, 2), n);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)), n);
   server.Update(fx.popularity, fx.zero, fx.birth);
   auto ctx = server.CreateContext();
   std::vector<uint32_t> out;
@@ -487,7 +490,8 @@ TEST(ServeObsTest, WorkloadDerivesPercentilesFromHistogram) {
   MetricsRegistry reg;
   ServeOptions opts;
   opts.metrics = &reg;
-  ShardedRankServer server(RankPromotionConfig::Selective(0.3, 2), n, opts);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)), n, opts);
   server.Update(fx.popularity, fx.zero, fx.birth);
 
   WorkloadOptions wl;
@@ -502,7 +506,8 @@ TEST(ServeObsTest, WorkloadDerivesPercentilesFromHistogram) {
   EXPECT_LE(res.p99_latency_us, res.max_latency_us);
 
   // Without a registry the wall-clock estimate still fills the fields.
-  ShardedRankServer bare(RankPromotionConfig::Selective(0.3, 2), n);
+  ShardedRankServer bare(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)), n);
   bare.Update(fx.popularity, fx.zero, fx.birth);
   const WorkloadResult bare_res = RunQueryWorkload(bare, wl);
   EXPECT_FALSE(bare_res.histogram_latency);

@@ -36,8 +36,6 @@ using testutil::Fixture;
 TEST(PolicyCapabilitiesTest, FamiliesDeclareTheExpectedMatrix) {
   const auto promo = MakePromotionPolicy(RankPromotionConfig::Recommended(2));
   EXPECT_TRUE(promo->Capabilities().lazy_prefix);
-  EXPECT_TRUE(promo->Capabilities().epoch_state);
-  EXPECT_TRUE(promo->Capabilities().sharded_merge);
   EXPECT_TRUE(promo->Capabilities().agent_sim);
   EXPECT_TRUE(promo->Capabilities().mean_field);
   ASSERT_NE(promo->AsPromotion(), nullptr);
@@ -45,33 +43,26 @@ TEST(PolicyCapabilitiesTest, FamiliesDeclareTheExpectedMatrix) {
 
   const auto pl = MakePlackettLucePolicy(0.1);
   EXPECT_FALSE(pl->Capabilities().lazy_prefix);
-  // The per-epoch alias table flipped this on: PL now rides the cached
-  // single-view path like the promotion family.
-  EXPECT_TRUE(pl->Capabilities().epoch_state);
-  EXPECT_TRUE(pl->Capabilities().sharded_merge);
   EXPECT_FALSE(pl->Capabilities().agent_sim);
   EXPECT_FALSE(pl->Capabilities().mean_field);
   EXPECT_EQ(pl->AsPromotion(), nullptr);
 
   const auto eps = MakeEpsilonTailPolicy(0.2, 5);
   EXPECT_TRUE(eps->Capabilities().lazy_prefix);
-  EXPECT_TRUE(eps->Capabilities().epoch_state);
-  EXPECT_TRUE(eps->Capabilities().sharded_merge);
   EXPECT_FALSE(eps->Capabilities().agent_sim);
   EXPECT_EQ(eps->AsPromotion(), nullptr);
 
   const auto ts = MakeThompsonPromotionPolicy(1.0, 3.0, 20.0, 1);
   EXPECT_TRUE(ts->Capabilities().lazy_prefix);
-  EXPECT_TRUE(ts->Capabilities().epoch_state);
-  EXPECT_TRUE(ts->Capabilities().sharded_merge);
   EXPECT_FALSE(ts->Capabilities().agent_sim);
   EXPECT_FALSE(ts->Capabilities().mean_field);
   EXPECT_EQ(ts->AsPromotion(), nullptr);
 }
 
-// Which families actually produce opaque per-epoch state (the promotion
-// family's epoch-invariant state is the merged view itself, so its hook
-// returns null and the serve layer passes nothing extra).
+// Which families actually produce opaque per-epoch state (for the promotion,
+// eps-tail and ts-promo families the epoch-invariant state is the view
+// itself, so their hook returns null and the serve layer passes nothing
+// extra).
 TEST(PolicyCapabilitiesTest, BuildEpochStateProducesStateWhereExpected) {
   const size_t n = 60;
   Fixture fx(n, 0);
@@ -79,18 +70,16 @@ TEST(PolicyCapabilitiesTest, BuildEpochStateProducesStateWhereExpected) {
     Ranker ranker(p);
     Rng rng(17);
     ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
-    const ShardView view = {ranker.deterministic_order().data(),
-                            ranker.deterministic_scores().data(),
-                            nullptr,
-                            ranker.deterministic_order().size(),
-                            ranker.pool().data(),
-                            ranker.pool().size()};
+    const RankView view = {ranker.deterministic_order().data(),
+                           ranker.deterministic_scores().data(),
+                           ranker.deterministic_order().size(),
+                           ranker.pool().data(), ranker.pool().size()};
     return p->BuildEpochState(view);
   };
   EXPECT_EQ(build(MakePromotionPolicy(RankPromotionConfig::None())), nullptr);
   EXPECT_NE(build(MakePlackettLucePolicy(0.2)), nullptr);
-  EXPECT_NE(build(MakeEpsilonTailPolicy(0.3, 4)), nullptr);
-  // A zero protected head leaves epsilon-tail stateless too.
+  // eps-tail reads its protected head from the view in place.
+  EXPECT_EQ(build(MakeEpsilonTailPolicy(0.3, 4)), nullptr);
   EXPECT_EQ(build(MakeEpsilonTailPolicy(0.3, 0)), nullptr);
   // ts-promo duels over the merged view itself — nothing extra to build.
   EXPECT_EQ(build(MakeThompsonPromotionPolicy(1.0, 3.0, 20.0, 1)), nullptr);
@@ -124,6 +113,17 @@ TEST(PolicyFactoryTest, LabelsRoundTripThroughMakePolicyFromLabel) {
   EXPECT_EQ(MakePolicyFromLabel("ts-promo(a=1.00,b=3.00,c=20.0,k=1)x"),
             nullptr);
   EXPECT_EQ(MakePolicyFromLabel(""), nullptr);
+  // %lf reads "nan" and "inf" and %zu reads "-1" as SIZE_MAX, so these
+  // parse; Valid() and the digit check after "k=" reject them.
+  EXPECT_EQ(MakePolicyFromLabel("uniform(r=nan,k=1)"), nullptr);
+  EXPECT_EQ(MakePolicyFromLabel("selective(r=nan,k=2)"), nullptr);
+  EXPECT_EQ(MakePolicyFromLabel("plackett-luce(T=inf)"), nullptr);
+  EXPECT_EQ(MakePolicyFromLabel("ts-promo(a=inf,b=3.00,c=20.0,k=1)"),
+            nullptr);
+  EXPECT_EQ(MakePolicyFromLabel("ts-promo(a=1.00,b=3.00,c=inf,k=0)"),
+            nullptr);
+  EXPECT_EQ(MakePolicyFromLabel("eps-tail(eps=0.10,k=-1)"), nullptr);
+  EXPECT_EQ(MakePolicyFromLabel("selective(r=0.10,k=-1)"), nullptr);
 }
 
 // Rejections carry a diagnostic that echoes the offending label; unknown
@@ -231,6 +231,71 @@ TEST(PolicyFactoryTest, EveryKnownFamilyRoundTripsAndRejectsMalformedLabels) {
   }
 }
 
+// Mutation fuzz of the label boundary: labels derived from the standard
+// families by byte flips, truncations and splices of signs, non-finite
+// spellings and long digit runs. Whatever is accepted must be a Valid()
+// policy whose Label() parses back to itself and which serves a permutation;
+// whatever is rejected must say why.
+TEST(PolicyFactoryTest, FuzzedLabelsParseOrReject) {
+  std::vector<std::string> seeds;
+  for (const auto& policy : StandardPolicyFamilies()) {
+    seeds.push_back(policy->Label());
+  }
+  const std::vector<std::string> splices = {
+      "-", "+", "nan", "inf", "-inf", "1e999", "0", std::string(40, '9'),
+      std::string(400, '9')};
+  const size_t n = 12;
+  Fixture fx(n, 3);
+  Rng rng(2026);
+  size_t accepted = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    std::string label = seeds[rng.NextIndex(seeds.size())];
+    const size_t edits = 1 + rng.NextIndex(3);
+    for (size_t e = 0; e < edits && !label.empty(); ++e) {
+      switch (rng.NextIndex(3)) {
+        case 0:  // byte flip
+          label[rng.NextIndex(label.size())] =
+              static_cast<char>(rng.NextIndex(256));
+          break;
+        case 1:  // truncation
+          label.resize(rng.NextIndex(label.size()));
+          break;
+        default: {  // splice, usually over one parameter's value
+          const std::string& text = splices[rng.NextIndex(splices.size())];
+          size_t at = rng.NextIndex(label.size() + 1);
+          size_t len = 0;
+          const size_t eq = label.find('=', at);
+          if (eq != std::string::npos && rng.NextBernoulli(0.8)) {
+            at = eq + 1;
+            len = label.find_first_of(",)", at);
+            len = (len == std::string::npos ? label.size() : len) - at;
+          }
+          label.replace(at, len, text);
+        }
+      }
+    }
+    std::string error;
+    const auto policy = MakePolicyFromLabel(label, &error);
+    if (policy == nullptr) {
+      EXPECT_FALSE(error.empty()) << label;
+      continue;
+    }
+    ++accepted;
+    ASSERT_TRUE(policy->Valid()) << label;
+    const auto again = MakePolicyFromLabel(policy->Label(), &error);
+    ASSERT_NE(again, nullptr) << label << " -> " << policy->Label() << ": "
+                              << error;
+    EXPECT_EQ(again->Label(), policy->Label()) << label;
+    Ranker ranker(policy);
+    ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
+    const std::vector<uint32_t> list = ranker.TopM(n, rng);
+    ASSERT_EQ(std::set<uint32_t>(list.begin(), list.end()).size(), n)
+        << label;
+  }
+  // Parameter splices keep a share of the labels well-formed.
+  EXPECT_GT(accepted, 100u);
+}
+
 TEST(PolicyFactoryTest, StandardFamiliesAreValidAndDistinct) {
   const auto families = StandardPolicyFamilies();
   ASSERT_EQ(families.size(), 4u);
@@ -240,32 +305,6 @@ TEST(PolicyFactoryTest, StandardFamiliesAreValidAndDistinct) {
     labels.insert(policy->Label());
   }
   EXPECT_EQ(labels.size(), families.size());
-}
-
-// RankPromotionConfig is now a thin factory over PromotionPolicy: a Ranker
-// built either way must consume its Rng identically, so existing seeds
-// reproduce bit-for-bit.
-TEST(PromotionPolicyTest, RankerFromConfigAndFromPolicyAreBitIdentical) {
-  const size_t n = 200;
-  Fixture fx(n, 40);
-  const RankPromotionConfig config = RankPromotionConfig::Uniform(0.3, 3);
-
-  Ranker from_config(config);
-  Ranker from_policy(MakePromotionPolicy(config));
-  Rng rng_a(11);
-  Rng rng_b(11);
-  from_config.Update(fx.popularity, fx.zero, fx.birth, rng_a);
-  from_policy.Update(fx.popularity, fx.zero, fx.birth, rng_b);
-  EXPECT_EQ(from_config.deterministic_order(),
-            from_policy.deterministic_order());
-  EXPECT_EQ(from_config.pool(), from_policy.pool());
-  for (int trial = 0; trial < 50; ++trial) {
-    EXPECT_EQ(from_config.MaterializeList(rng_a),
-              from_policy.MaterializeList(rng_b));
-    EXPECT_EQ(from_config.TopM(17, rng_a), from_policy.TopM(17, rng_b));
-    EXPECT_EQ(from_config.PageAtRank(9, rng_a),
-              from_policy.PageAtRank(9, rng_b));
-  }
 }
 
 TEST(EpsilonTailPolicyTest, ZeroEpsilonReproducesTheDeterministicOrder) {

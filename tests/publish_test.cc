@@ -290,16 +290,14 @@ class ThrowingMembership final : public StochasticRankingPolicy {
     }
     return inner_->PoolMembership(zero_awareness, rng);
   }
-  size_t ServePrefix(const ShardView* views, size_t num_views,
-                     const PolicyEpochState* epoch_state,
+  size_t ServePrefix(const RankView& view, const PolicyEpochState* epoch_state,
                      PolicyScratch& scratch, size_t m, Rng& rng,
                      std::vector<uint32_t>* out) const override {
-    return inner_->ServePrefix(views, num_views, epoch_state, scratch, m, rng,
-                               out);
+    return inner_->ServePrefix(view, epoch_state, scratch, m, rng, out);
   }
-  std::vector<uint32_t> MaterializeReference(const ShardView& global,
+  std::vector<uint32_t> MaterializeReference(const RankView& view,
                                              Rng& rng) const override {
-    return inner_->MaterializeReference(global, rng);
+    return inner_->MaterializeReference(view, rng);
   }
 
   std::atomic<bool> armed{false};

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/policy/promotion_policy.h"
 #include "core/rank_merge.h"
 #include "core/ranking_policy.h"
 #include "serve/feedback.h"
@@ -53,10 +54,10 @@ TEST(SnapshotStoreTest, HandleKeepsOldGenerationAliveUntilRefresh) {
 TEST(ServeTest, PublishedViewMatchesRankerOverSamePages) {
   Fixture fx(120, 24);
   const RankPromotionConfig config = RankPromotionConfig::Selective(0.3, 2);
-  Ranker ranker(config);
+  Ranker ranker(MakePromotionPolicy(config));
   Rng rng(8);
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
-  ShardedRankServer server(config, 120);
+  ShardedRankServer server(MakePromotionPolicy(config), 120);
   ASSERT_TRUE(server.Update(fx.popularity, fx.zero, fx.birth));
   const auto view = server.view();
   ASSERT_NE(view, nullptr);
@@ -70,7 +71,8 @@ TEST(ServeTest, PublishedViewMatchesRankerOverSamePages) {
 }
 
 TEST(ServeTest, ServesNothingBeforeFirstUpdate) {
-  ShardedRankServer server(RankPromotionConfig::Recommended(1), 100);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Recommended(1)), 100);
   auto ctx = server.CreateContext();
   std::vector<uint32_t> out;
   EXPECT_EQ(server.ServeTopM(ctx, 10, &out), 0u);
@@ -79,7 +81,8 @@ TEST(ServeTest, ServesNothingBeforeFirstUpdate) {
 
 TEST(ServeTest, FullListIsPermutation) {
   Fixture fx(211, 40);
-  ShardedRankServer server(RankPromotionConfig::Selective(0.3, 2), 211);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)), 211);
   server.Update(fx.popularity, fx.zero, fx.birth);
   auto ctx = server.CreateContext();
   std::vector<uint32_t> out;
@@ -91,11 +94,12 @@ TEST(ServeTest, FullListIsPermutation) {
 
 TEST(ServeTest, NoneRuleMatchesGlobalDeterministicOrder) {
   Fixture fx(300, 0);
-  Ranker ranker(RankPromotionConfig::None());
+  Ranker ranker(MakePromotionPolicy(RankPromotionConfig::None()));
   Rng rng(3);
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
 
-  ShardedRankServer server(RankPromotionConfig::None(), 300);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::None()), 300);
   server.Update(fx.popularity, fx.zero, fx.birth);
   auto ctx = server.CreateContext();
   std::vector<uint32_t> out;
@@ -108,7 +112,8 @@ TEST(ServeTest, ProtectedPrefixIsStableAcrossRealizations) {
   Fixture fx(150, 30);
   const size_t k = 6;
   ServeOptions opts;
-  ShardedRankServer server(RankPromotionConfig::Selective(0.9, k), 150, opts);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.9, k)), 150, opts);
   server.Update(fx.popularity, fx.zero, fx.birth);
   auto ctx = server.CreateContext();
   std::vector<uint32_t> first;
@@ -133,7 +138,7 @@ TEST(ServeTest, ServedTopMMatchesMaterializeListMarginals) {
   Fixture fx(n, zeros);
   const RankPromotionConfig config = RankPromotionConfig::Selective(0.3, 2);
 
-  Ranker ranker(config);
+  Ranker ranker(MakePromotionPolicy(config));
   Rng rng(21);
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
   std::vector<double> reference_pool_freq(m, 0.0);
@@ -144,7 +149,7 @@ TEST(ServeTest, ServedTopMMatchesMaterializeListMarginals) {
 
   ServeOptions opts;
   opts.seed = 1001;
-  ShardedRankServer server(config, n, opts);
+  ShardedRankServer server(MakePromotionPolicy(config), n, opts);
   server.Update(fx.popularity, fx.zero, fx.birth);
   auto ctx = server.CreateContext();
   std::vector<double> served_pool_freq(m, 0.0);
@@ -174,9 +179,10 @@ TEST(ServeTest, ServeBatchIsPairwiseIdenticalToSequentialQueries) {
 
   // Two identical servers; contexts created identically get identical
   // per-query Rng streams.
-  ShardedRankServer sequential(RankPromotionConfig::Selective(0.4, 3), n,
-                               opts);
-  ShardedRankServer batched(RankPromotionConfig::Selective(0.4, 3), n, opts);
+  ShardedRankServer sequential(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.4, 3)), n, opts);
+  ShardedRankServer batched(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.4, 3)), n, opts);
   sequential.Update(fx.popularity, fx.zero, fx.birth);
   batched.Update(fx.popularity, fx.zero, fx.birth);
   auto seq_ctx = sequential.CreateContext();
@@ -196,7 +202,8 @@ TEST(ServeTest, ServeBatchIsPairwiseIdenticalToSequentialQueries) {
 }
 
 TEST(ServeTest, ServeBatchBeforeFirstUpdateServesNothing) {
-  ShardedRankServer server(RankPromotionConfig::Recommended(1), 100);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Recommended(1)), 100);
   auto ctx = server.CreateContext();
   QueryBatch batch(10, 4);
   batch.results[0].push_back(42);  // stale content must be cleared
@@ -227,11 +234,11 @@ TEST(ServeTest, ServedTailMatchesMaterializeListChiSquared) {
   };
   ServeOptions opts;
   opts.seed = 900;
-  ShardedRankServer server(config, n, opts);
+  ShardedRankServer server(MakePromotionPolicy(config), n, opts);
   server.Update(fx.popularity, fx.zero, fx.birth);
   auto ctx = server.CreateContext();
   std::vector<uint32_t> out;
-  Ranker ranker(config);
+  Ranker ranker(MakePromotionPolicy(config));
   Rng rng(901);
   ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
   for (int t = 0; t < kTrials; ++t) {
@@ -257,7 +264,8 @@ TEST(ServeTest, ServedTailMatchesMaterializeListChiSquared) {
 TEST(ServeTest, PublishedViewPartitionsThePages) {
   const size_t n = 97;
   Fixture fx(n, 20);
-  ShardedRankServer server(RankPromotionConfig::Selective(0.5, 2), n);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.5, 2)), n);
   server.Update(fx.popularity, fx.zero, fx.birth);
   auto ctx = server.CreateContext();
   // Reach the published view through a full-list query's invariants: the
@@ -276,7 +284,8 @@ TEST(ServeTest, PublishedViewPartitionsThePages) {
 TEST(ServeTest, BatchedWorkloadFeedsVisitsBackLikeSequential) {
   const size_t n = 400;
   Fixture fx(n, 80);
-  ShardedRankServer server(RankPromotionConfig::Recommended(2), n);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Recommended(2)), n);
   server.Update(fx.popularity, fx.zero, fx.birth);
 
   WorkloadOptions wl;
@@ -301,7 +310,8 @@ TEST(ServeTest, BatchedWorkloadFeedsVisitsBackLikeSequential) {
 TEST(ServeTest, AsyncWorkloadServesFullQuotaThroughQueue) {
   const size_t n = 300;
   Fixture fx(n, 60);
-  ShardedRankServer server(RankPromotionConfig::Recommended(2), n);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Recommended(2)), n);
   server.Update(fx.popularity, fx.zero, fx.birth);
 
   WorkloadOptions wl;
@@ -322,7 +332,8 @@ TEST(ServeTest, PoolDrawsAreUniform) {
   // r=1, k=1: rank 1 is always a pool page, uniform over the global pool.
   const size_t n = 48;
   Fixture fx(n, 16);
-  ShardedRankServer server(RankPromotionConfig::Selective(1.0, 1), n);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Selective(1.0, 1)), n);
   server.Update(fx.popularity, fx.zero, fx.birth);
   auto ctx = server.CreateContext();
   std::vector<int> counts(n, 0);
@@ -348,7 +359,8 @@ TEST(ServeTest, PoolDrawsAreUniform) {
 TEST(ServeTest, SnapshotSwapUnderConcurrentReadersIsSafe) {
   const size_t n = 500;
   Fixture fx(n, 100);
-  ShardedRankServer server(RankPromotionConfig::Selective(0.2, 2), n);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.2, 2)), n);
   server.Update(fx.popularity, fx.zero, fx.birth);
 
   std::atomic<bool> stop{false};
@@ -392,7 +404,7 @@ TEST(ServeTest, SnapshotSwapUnderConcurrentReadersIsSafe) {
 }
 
 TEST(ServeTest, FeedbackCountsDrainExactly) {
-  ShardedRankServer server(RankPromotionConfig::None(), 10,
+  ShardedRankServer server(MakePromotionPolicy(RankPromotionConfig::None()), 10,
                            {.feedback_batch = 4});
   auto ctx = server.CreateContext();
   for (int i = 0; i < 10; ++i) server.RecordVisit(ctx, 3);
@@ -431,7 +443,8 @@ TEST(ServeTest, FoldVisitsConvertsAwarenessAndClearsPoolFlag) {
 TEST(ServeTest, WorkloadClosedLoopFeedsVisitsBack) {
   const size_t n = 400;
   Fixture fx(n, 80);
-  ShardedRankServer server(RankPromotionConfig::Recommended(2), n);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Recommended(2)), n);
   server.Update(fx.popularity, fx.zero, fx.birth);
 
   WorkloadOptions wl;
@@ -466,8 +479,9 @@ TEST(ServeTest, ServeLoopDiscoversZeroAwarenessPagesUnderSelectiveRule) {
 
   ServeOptions opts;
   opts.seed = 7;
-  ShardedRankServer server(RankPromotionConfig::Selective(0.5, 1), params.n,
-                           opts);
+  ShardedRankServer server(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.5, 1)), params.n,
+      opts);
   const size_t before = state.ZeroAwarenessPages();
   for (int round = 0; round < 5; ++round) {
     server.Update(state.popularity, state.zero_awareness, state.birth_step);
