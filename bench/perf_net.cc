@@ -1,8 +1,9 @@
-// Network serving benchmark: what does the socket boundary cost over the
-// same batched serving path in-process? Both sides ride the identical
-// BatchQueue -> ShardedRankServer machinery; the socket points add framing,
-// loopback TCP, and the epoll event loop, so `network_tax` isolates the
-// wire's contribution to latency and throughput.
+// Network serving benchmark: what does the socket boundary cost over
+// in-process serving? Both sides end in ShardedRankServer::ServeBatch: the
+// in-process baseline reaches it through a BatchQueue consumer thread, the
+// daemon on its own event loop after decoding the frames. The socket points
+// add framing, loopback TCP, and the epoll event loop, so `network_tax`
+// prices the wire's contribution to latency and throughput.
 //
 // Points (JSONL, same format as perf_serve):
 //   net/inprocess        — closed-loop queries through a BatchQueue future,
@@ -68,7 +69,7 @@ int main(int argc, char** argv) {
 
   bench::PrintBanner(
       "perf_net",
-      "socket serving daemon vs the identical batched path in-process",
+      "socket serving daemon vs in-process queries through a BatchQueue",
       "the wire adds per-query framing + loopback TCP + event-loop "
       "scheduling; closed-loop network_tax is dominated by round-trip "
       "latency and should shrink under pipelining");
@@ -93,8 +94,8 @@ int main(int argc, char** argv) {
   bench::JsonlSink sink;
   Table table({"point", "conns", "QPS", "p50 (us)", "p99 (us)", "net tax"});
 
-  // In-process baseline: the same BatchQueue consumer the daemon uses, no
-  // sockets. Closed loop (one outstanding query), latency per round trip.
+  // In-process baseline: a BatchQueue on the same server, no sockets.
+  // Closed loop (one outstanding query), latency per round trip.
   double qps_inprocess = 0.0;
   {
     BatchQueueOptions qopts;
@@ -131,7 +132,7 @@ int main(int argc, char** argv) {
 
   // Closed-loop socket points: N client threads, one connection each, one
   // outstanding query per connection — per-query latency is a full wire
-  // round trip through the event loop and batch consumer.
+  // round trip through the event loop, which serves the query itself.
   for (const size_t conns : {size_t{1}, size_t{2}}) {
     const size_t per_conn = kQueries / conns;
     std::vector<std::vector<double>> lat_us(conns);

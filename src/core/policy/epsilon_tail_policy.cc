@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cctype>
 #include <cstdio>
 
 namespace randrank {
@@ -14,14 +13,10 @@ std::string EpsilonTailPolicy::Label() const {
 bool EpsilonTailPolicy::ParseLabel(const std::string& label, double* epsilon,
                                    size_t* protect) {
   double eps = 0.0;
-  size_t k = 0;
+  uint64_t k = 0;
   int k_at = 0;
-  int consumed = 0;
-  // %zu accepts a sign and wraps "-1" to SIZE_MAX: require a digit.
-  if (std::sscanf(label.c_str(), "eps-tail(eps=%lf,k=%n%zu)%n", &eps, &k_at,
-                  &k, &consumed) != 2 ||
-      static_cast<size_t>(consumed) != label.size() ||
-      !std::isdigit(static_cast<unsigned char>(label[k_at]))) {
+  if (std::sscanf(label.c_str(), "eps-tail(eps=%lf,k=%n", &eps, &k_at) != 1 ||
+      k_at == 0 || !ParseLabelCount(label, static_cast<size_t>(k_at), &k)) {
     return false;
   }
   *epsilon = eps;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 
@@ -67,14 +66,11 @@ bool ThompsonPromotionPolicy::ParseLabel(const std::string& label, double* a,
   double pa = 0.0;
   double pb = 0.0;
   double pc = 0.0;
-  size_t k = 0;
+  uint64_t k = 0;
   int k_at = 0;
-  int consumed = 0;
-  // %zu accepts a sign and wraps "-1" to SIZE_MAX: require a digit.
-  if (std::sscanf(label.c_str(), "ts-promo(a=%lf,b=%lf,c=%lf,k=%n%zu)%n", &pa,
-                  &pb, &pc, &k_at, &k, &consumed) != 4 ||
-      static_cast<size_t>(consumed) != label.size() ||
-      !std::isdigit(static_cast<unsigned char>(label[k_at]))) {
+  if (std::sscanf(label.c_str(), "ts-promo(a=%lf,b=%lf,c=%lf,k=%n", &pa, &pb,
+                  &pc, &k_at) != 3 ||
+      k_at == 0 || !ParseLabelCount(label, static_cast<size_t>(k_at), &k)) {
     return false;
   }
   *a = pa;

@@ -1,7 +1,9 @@
 #include "core/ranking_policy.h"
 
-#include <cctype>
 #include <cstdio>
+#include <string_view>
+
+#include "util/parse.h"
 
 namespace randrank {
 
@@ -39,21 +41,19 @@ bool RankPromotionConfig::ParseLabel(const std::string& label,
     return true;
   }
   double r = 0.0;
-  size_t k = 0;
-  // %n guards against trailing garbage ("uniform(r=0.10,k=1)x" must fail)
-  // and marks where k starts: %zu accepts a sign and wraps "-1" to SIZE_MAX,
-  // so k must start with a digit.
-  int k_at = 0;
-  int consumed = 0;
+  uint64_t k = 0;
+  // %n marks where k starts; k is then the strict "<digits>)" tail, so a
+  // sign, trailing garbage ("uniform(r=0.10,k=1)x") or a k past 2^64 - 1 is
+  // rejected instead of wrapped or saturated.
   const auto parse = [&](const char* format) {
-    return std::sscanf(label.c_str(), format, &r, &k_at, &k, &consumed) == 2 &&
-           static_cast<size_t>(consumed) == label.size() &&
-           std::isdigit(static_cast<unsigned char>(label[k_at]));
+    int k_at = 0;
+    return std::sscanf(label.c_str(), format, &r, &k_at) == 1 && k_at > 0 &&
+           ParseLabelCount(label, static_cast<size_t>(k_at), &k);
   };
   RankPromotionConfig parsed;
-  if (parse("uniform(r=%lf,k=%n%zu)%n")) {
+  if (parse("uniform(r=%lf,k=%n")) {
     parsed = Uniform(r, k);
-  } else if (parse("selective(r=%lf,k=%n%zu)%n")) {
+  } else if (parse("selective(r=%lf,k=%n")) {
     parsed = Selective(r, k);
   } else {
     return false;
@@ -61,6 +61,13 @@ bool RankPromotionConfig::ParseLabel(const std::string& label,
   if (!parsed.Valid()) return false;
   *out = parsed;
   return true;
+}
+
+bool ParseLabelCount(const std::string& label, size_t at, uint64_t* count) {
+  if (at >= label.size() || label.back() != ')') return false;
+  const std::string_view digits =
+      std::string_view(label).substr(at, label.size() - 1 - at);
+  return ParseU64(digits, count);
 }
 
 std::string RankPromotionConfig::Label() const {

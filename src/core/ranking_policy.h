@@ -2,6 +2,7 @@
 #define RANDRANK_CORE_RANKING_POLICY_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 namespace randrank {
@@ -56,6 +57,13 @@ struct RankPromotionConfig {
   /// Label() exactly for r representable at two decimals.
   static bool ParseLabel(const std::string& label, RankPromotionConfig* out);
 };
+
+/// The count parameter that closes a "...,k=N)" policy label: `label` from
+/// offset `at` on must be exactly "<digits>)", parsed by util's strict
+/// ParseU64, so a sign, trailing garbage, or a count past 2^64 - 1 is
+/// rejected instead of wrapped or saturated. Shared by the ParseLabel of
+/// every family with a protected-prefix `k`.
+bool ParseLabelCount(const std::string& label, size_t at, uint64_t* count);
 
 }  // namespace randrank
 

@@ -1,11 +1,11 @@
 #include "fault/fault.h"
 
 #include <chrono>
-#include <limits>
 #include <thread>
 #include <unordered_map>
 
 #include "obs/metrics.h"
+#include "util/parse.h"
 
 namespace randrank::fault {
 
@@ -53,21 +53,6 @@ std::string_view Trim(std::string_view s) {
   return s;
 }
 
-bool ParseU64(std::string_view s, uint64_t* out) {
-  if (s.empty()) return false;
-  uint64_t value = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return false;
-    const auto digit = static_cast<uint64_t>(c - '0');
-    if (value > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
-      return false;  // would wrap
-    }
-    value = value * 10 + digit;
-  }
-  *out = value;
-  return true;
-}
-
 bool ParseProb(std::string_view s, double* out) {
   // Probabilities are written as plain decimals ("0.05", "1"); parse by
   // hand so the accepted grammar is exact and locale-independent.
@@ -82,11 +67,15 @@ bool ParseProb(std::string_view s, double* out) {
   if (dot != std::string_view::npos) {
     const std::string_view frac = s.substr(dot + 1);
     if (frac.empty()) return false;
-    uint64_t digits = 0;
-    if (!ParseU64(frac, &digits)) return false;
-    double scale = 1.0;
-    for (size_t i = 0; i < frac.size(); ++i) scale *= 10.0;
-    value += static_cast<double>(digits) / scale;
+    // Fraction digits accumulate in floating point, last digit first
+    // (0.d1d2...dk = (d1 + (d2 + ...) / 10) / 10), so any number of digits
+    // parses: a long run stays within an ulp of the decimal, never overflows.
+    double fraction = 0.0;
+    for (auto it = frac.rbegin(); it != frac.rend(); ++it) {
+      if (*it < '0' || *it > '9') return false;
+      fraction = (fraction + static_cast<double>(*it - '0')) / 10.0;
+    }
+    value += fraction;
   }
   if (value < 0.0 || value > 1.0) return false;
   *out = value;

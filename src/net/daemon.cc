@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <ctime>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -24,28 +25,30 @@ namespace randrank::net {
 
 namespace {
 constexpr size_t kReadChunk = 64 * 1024;
+
+/// Fast-clock time since `start_ns`, clamped at 0 (two reads on different
+/// cores may be a few ticks out of order).
+uint64_t NanosSince(uint64_t start_ns) {
+  const uint64_t now = obs::FastNowNs();
+  return now > start_ns ? now - start_ns : 0;
+}
+
+/// Adds to a stats() counter and to its registry twin, if any.
+void Bump(std::atomic<uint64_t>& stat, obs::Counter* counter, uint64_t n = 1) {
+  stat.fetch_add(n, std::memory_order_relaxed);
+  if (counter != nullptr) counter->Add(n);
+}
 }  // namespace
 
-/// Per-connection state. The event-loop thread owns everything except
-/// `pending`/`in_flush_list`/`closed`, which the queue-consumer thread
-/// touches under `wmutex` to enqueue replies.
+/// Per-connection state, owned by the event-loop thread.
 struct NetDaemon::Connection {
   int fd = -1;
   uint64_t opened_ns = 0;
 
-  // Inbound (event-loop thread only): unparsed bytes, parse offset.
+  // Inbound: unparsed bytes.
   std::vector<uint8_t> rbuf;
-  size_t rpos = 0;
 
-  // Outbound staging: any thread appends under wmutex; the event loop
-  // moves `pending` into its private `wbuf` before writing, so the lock is
-  // never held across a syscall.
-  std::mutex wmutex;
-  std::vector<uint8_t> pending;
-  bool in_flush_list = false;
-  bool closed = false;
-
-  // Event-loop thread only.
+  // Outbound: encoded replies, sent from `woff` on.
   std::vector<uint8_t> wbuf;
   size_t woff = 0;
   bool want_write = false;
@@ -54,7 +57,6 @@ struct NetDaemon::Connection {
   /// anything before it) has flushed.
   bool close_when_flushed = false;
 
-  /// Unsent reply bytes staged on the event-loop side (excludes `pending`).
   size_t unsent() const { return wbuf.size() - woff; }
 };
 
@@ -64,11 +66,6 @@ NetDaemon::NetDaemon(ShardedRankServer& server, NetDaemonOptions options)
   if (opts_.write_low_watermark > opts_.write_high_watermark) {
     opts_.write_low_watermark = opts_.write_high_watermark;
   }
-  // The daemon's admission control sheds with an explicit OVERLOADED reply;
-  // a bounded queue would instead block the event loop in Submit().
-  opts_.queue.max_pending = 0;
-  if (opts_.queue.metrics == nullptr) opts_.queue.metrics = opts_.metrics;
-  if (opts_.queue.trace == nullptr) opts_.queue.trace = opts_.trace;
   if (opts_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *opts_.metrics;
     const std::string p = opts_.obs_prefix + "/";
@@ -84,7 +81,9 @@ NetDaemon::NetDaemon(ShardedRankServer& server, NetDaemonOptions options)
     bytes_read_ctr_ = &reg.GetCounter(p + "bytes_read");
     bytes_written_ctr_ = &reg.GetCounter(p + "bytes_written");
     active_gauge_ = &reg.GetGauge(p + "active_conns");
-    inflight_gauge_ = &reg.GetGauge(p + "inflight");
+    // Registered under the HEALTH field's name; it stays 0, since every
+    // QUERY is answered in the loop pass that decoded it.
+    reg.GetGauge(p + "inflight");
     draining_gauge_ = &reg.GetGauge(p + "draining");
     request_hist_ = &reg.GetHistogram(p + "request_ns");
     read_hist_ = &reg.GetHistogram(p + "read_bytes");
@@ -136,10 +135,11 @@ void NetDaemon::Start() {
   ev.data.fd = wake_fd_;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
 
-  // Created here (not in the constructor) so the queue's consumer context is
-  // the server's next Rng stream at Start() time — the property the wire
+  // Created here (not in the constructor) so the loop's context is the
+  // server's next Rng stream at Start() time — the property the wire
   // bit-equivalence test pins against an in-process reference server.
-  queue_ = std::make_unique<BatchQueue>(server_, opts_.queue);
+  ctx_ = server_.CreateContext();
+  read_chunk_.resize(kReadChunk);
 
   started_.store(true, std::memory_order_release);
   loop_thread_ = std::thread(&NetDaemon::Loop, this);
@@ -179,14 +179,7 @@ void NetDaemon::Stop() {
 }
 
 void NetDaemon::JoinAndTearDown() {
-  // Order matters: the queue's drain still runs reply callbacks, which
-  // append to connection buffers and write wake_fd_ — both must outlive it.
-  queue_->Stop();
-  for (auto& [fd, conn] : connections_) {
-    std::lock_guard<std::mutex> lk(conn->wmutex);
-    conn->closed = true;
-    ::close(fd);
-  }
+  for (const auto& [fd, conn] : connections_) ::close(fd);
   connections_.clear();
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (wake_fd_ >= 0) ::close(wake_fd_);
@@ -219,7 +212,6 @@ NetDaemonStats NetDaemon::stats() const {
 void NetDaemon::Loop() {
   using Clock = std::chrono::steady_clock;
   std::vector<epoll_event> events(64);
-  bool listener_open = true;
   bool drain_seen = false;
   Clock::time_point drain_started{};
 
@@ -229,16 +221,9 @@ void NetDaemon::Loop() {
       if (!drain_seen) {
         drain_seen = true;
         drain_started = Clock::now();
-        if (listener_open) {
-          ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-          ::close(listen_fd_);
-          listen_fd_ = -1;
-          listener_open = false;
-        }
-      }
-      if (DrainComplete()) {
-        drain_was_clean_ = true;
-        break;
+        ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
+        ::close(listen_fd_);
+        listen_fd_ = -1;
       }
       if (opts_.drain_timeout_ms > 0 &&
           Clock::now() - drain_started >
@@ -255,6 +240,7 @@ void NetDaemon::Loop() {
       if (errno == EINTR) continue;
       break;
     }
+    pass_admitted_ = 0;
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
       const uint32_t ev = events[i].events;
@@ -270,24 +256,31 @@ void NetDaemon::Loop() {
       }
       auto it = connections_.find(fd);
       if (it == connections_.end()) continue;
-      std::shared_ptr<Connection> conn = it->second;
+      Connection& conn = *it->second;
       if ((ev & (EPOLLHUP | EPOLLERR)) != 0) {
         CloseConnection(fd);
         continue;
       }
-      if ((ev & EPOLLOUT) != 0) FlushWrites(conn);
-      if ((ev & (EPOLLIN | EPOLLRDHUP)) != 0 && !conn->paused_read) {
+      if ((ev & EPOLLOUT) != 0 && !FlushWrites(conn)) continue;
+      if ((ev & (EPOLLIN | EPOLLRDHUP)) != 0 && !conn.paused_read) {
         HandleReadable(conn);
       }
     }
 
-    // Replies enqueued by the consumer thread since the last pass.
-    std::vector<std::shared_ptr<Connection>> to_flush;
-    {
-      std::lock_guard<std::mutex> lk(flush_mutex_);
-      to_flush.swap(flush_list_);
+    if (draining) {
+      // Every request already waiting in a socket gets its DRAINING reply,
+      // also on connections this pass did not report: each readable one is
+      // read until empty before the drain can end.
+      // (HandleReadable can close only the connection it reads.)
+      for (auto it = connections_.begin(); it != connections_.end();) {
+        Connection& conn = *(it++)->second;
+        if (!conn.paused_read) HandleReadable(conn);
+      }
+      if (DrainComplete()) {
+        drain_was_clean_ = true;
+        break;
+      }
     }
-    for (const auto& conn : to_flush) FlushWrites(conn);
   }
 }
 
@@ -302,17 +295,19 @@ void NetDaemon::AcceptNew() {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Connection>();
+    if (opts_.deadline_us > 0) {
+      ::setsockopt(fd, SOL_SOCKET, SO_TIMESTAMPNS, &one, sizeof(one));
+    }
+    auto conn = std::make_unique<Connection>();
     conn->fd = fd;
     if (conn_hist_ != nullptr) conn->opened_ns = obs::FastNowNs();
-    connections_.emplace(fd, conn);
+    connections_.emplace(fd, std::move(conn));
     epoll_event ev{};
     ev.events = EPOLLIN | EPOLLRDHUP;
     ev.data.fd = fd;
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-    accepts_.fetch_add(1, std::memory_order_relaxed);
+    Bump(accepts_, accepts_ctr_);
     active_.fetch_add(1, std::memory_order_relaxed);
-    if (accepts_ctr_ != nullptr) accepts_ctr_->Add();
     if (active_gauge_ != nullptr) {
       active_gauge_->Set(static_cast<double>(connections_.size()));
     }
@@ -322,292 +317,251 @@ void NetDaemon::AcceptNew() {
 void NetDaemon::CloseConnection(int fd) {
   auto it = connections_.find(fd);
   if (it == connections_.end()) return;
-  std::shared_ptr<Connection> conn = it->second;
-  {
-    std::lock_guard<std::mutex> lk(conn->wmutex);
-    conn->closed = true;
+  if (conn_hist_ != nullptr && it->second->opened_ns != 0) {
+    conn_hist_->Record(obs::FastNowNs() - it->second->opened_ns);
   }
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
   connections_.erase(it);
   active_.fetch_sub(1, std::memory_order_relaxed);
-  if (conn_hist_ != nullptr && conn->opened_ns != 0) {
-    conn_hist_->Record(obs::FastNowNs() - conn->opened_ns);
-  }
   if (active_gauge_ != nullptr) {
     active_gauge_->Set(static_cast<double>(connections_.size()));
   }
 }
 
-void NetDaemon::HandleReadable(const std::shared_ptr<Connection>& conn) {
+bool NetDaemon::HandleReadable(Connection& conn) {
+  // Read until the socket is empty (a short read), so the pass sees the
+  // backlog this connection built up while the loop was busy; what is left
+  // after an early stop is reported again by the level-triggered epoll.
   while (true) {
-    const size_t old_size = conn->rbuf.size();
-    conn->rbuf.resize(old_size + kReadChunk);
-    const ssize_t n = ::read(conn->fd, conn->rbuf.data() + old_size, kReadChunk);
-    if (n > 0) {
-      conn->rbuf.resize(old_size + static_cast<size_t>(n));
-      bytes_read_.fetch_add(static_cast<uint64_t>(n),
-                            std::memory_order_relaxed);
-      if (bytes_read_ctr_ != nullptr) {
-        bytes_read_ctr_->Add(static_cast<uint64_t>(n));
-      }
-      if (read_hist_ != nullptr) read_hist_->Record(static_cast<uint64_t>(n));
-      if (static_cast<size_t>(n) < kReadChunk) break;  // drained the socket
-      continue;
+    ReadStamp stamp;
+    const ssize_t n = ReadChunk(conn, &stamp);
+    if (n <= 0) {
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+      CloseConnection(conn.fd);  // peer closed, or a read error
+      return false;
     }
-    conn->rbuf.resize(old_size);
-    if (n == 0) {  // peer closed
-      CloseConnection(conn->fd);
-      return;
+    const auto got = static_cast<uint64_t>(n);
+    Bump(bytes_read_, bytes_read_ctr_, got);
+    if (read_hist_ != nullptr) read_hist_->Record(got);
+    conn.rbuf.insert(conn.rbuf.end(), read_chunk_.data(),
+                     read_chunk_.data() + n);
+    if (!ParseFrames(conn, stamp)) {
+      // Fatal framing error: the error reply is already staged — stop
+      // reading and close once it has flushed.
+      conn.paused_read = true;
+      conn.close_when_flushed = true;
+      UpdateEpollInterest(conn);
+      break;
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    CloseConnection(conn->fd);
-    return;
+    if (got < read_chunk_.size() || pass_admitted_ >= opts_.max_inflight ||
+        conn.unsent() >= opts_.write_high_watermark) {
+      break;
+    }
   }
-  if (!ParseFrames(conn)) {
-    // Fatal framing error: the error reply is already staged — stop reading
-    // and close once it has flushed.
-    conn->paused_read = true;
-    conn->close_when_flushed = true;
-    UpdateEpollInterest(conn);
-  }
-  FlushWrites(conn);
+  return FlushWrites(conn);
 }
 
-bool NetDaemon::ParseFrames(const std::shared_ptr<Connection>& conn) {
-  while (conn->rbuf.size() - conn->rpos >= kHeaderSize) {
-    const uint8_t* base = conn->rbuf.data() + conn->rpos;
-    const size_t available = conn->rbuf.size() - conn->rpos;
+ssize_t NetDaemon::ReadChunk(Connection& conn, ReadStamp* stamp) {
+  ssize_t n = 0;
+  iovec iov{read_chunk_.data(), read_chunk_.size()};
+  alignas(cmsghdr) char control[CMSG_SPACE(sizeof(timespec))];
+  msghdr msg{};
+  msg.msg_iov = &iov;
+  msg.msg_iovlen = 1;
+  msg.msg_control = control;
+  msg.msg_controllen = sizeof(control);
+  do {
+    n = ::recvmsg(conn.fd, &msg, 0);
+  } while (n < 0 && errno == EINTR);
+  stamp->read_ns = stamp->arrival_ns = obs::FastNowNs();
+  // Only SO_TIMESTAMPNS (set when deadlines are on) attaches a message.
+  const cmsghdr* c = n > 0 ? CMSG_FIRSTHDR(&msg) : nullptr;
+  if (c != nullptr && c->cmsg_level == SOL_SOCKET &&
+      c->cmsg_type == SCM_TIMESTAMPNS) {
+    // TCP stamps a read with the receive time of the newest bytes in it, on
+    // the realtime clock: the age it gives is a lower bound for every frame
+    // the read delivered.
+    timespec received{};
+    std::memcpy(&received, CMSG_DATA(c), sizeof(received));
+    timespec now{};
+    ::clock_gettime(CLOCK_REALTIME, &now);
+    const int64_t waited_ns =
+        (static_cast<int64_t>(now.tv_sec) - received.tv_sec) * 1000000000 +
+        (now.tv_nsec - received.tv_nsec);
+    if (waited_ns > 0) {
+      stamp->arrival_ns -=
+          std::min(stamp->arrival_ns, static_cast<uint64_t>(waited_ns));
+    }
+  }
+  return n;
+}
+
+bool NetDaemon::ParseFrames(Connection& conn, const ReadStamp& stamp) {
+  size_t rpos = 0;
+  bool fatal = false;
+  while (conn.rbuf.size() - rpos >= kHeaderSize) {
+    const uint8_t* base = conn.rbuf.data() + rpos;
+    const size_t available = conn.rbuf.size() - rpos;
     FrameHeader header;
     const DecodeStatus status = DecodeHeader(base, available, &header);
-    if (status == DecodeStatus::kMalformed) {
-      bad_frames_.fetch_add(1, std::memory_order_relaxed);
-      if (bad_ctr_ != nullptr) bad_ctr_->Add();
-      SendError(conn, 0, ErrorCode::kBadFrame, "malformed frame header");
-      return false;
-    }
-    if (status == DecodeStatus::kUnsupportedVersion) {
-      bad_frames_.fetch_add(1, std::memory_order_relaxed);
-      if (bad_ctr_ != nullptr) bad_ctr_->Add();
-      SendError(conn, 0, ErrorCode::kUnsupportedVersion,
-                "server speaks version " + std::to_string(kProtocolVersion));
-      return false;
+    if (status == DecodeStatus::kMalformed ||
+        status == DecodeStatus::kUnsupportedVersion) {
+      ServeRun(conn, stamp);
+      Bump(bad_frames_, bad_ctr_);
+      if (status == DecodeStatus::kMalformed) {
+        SendError(conn, 0, ErrorCode::kBadFrame, "malformed frame header");
+      } else {
+        SendError(conn, 0, ErrorCode::kUnsupportedVersion,
+                  "server speaks version " + std::to_string(kProtocolVersion));
+      }
+      fatal = true;
+      break;
     }
     if (available < kHeaderSize + header.payload_len) break;  // incomplete
     const uint8_t* payload = base + kHeaderSize;
     const size_t len = header.payload_len;
-    switch (header.type) {
-      case FrameType::kQuery: {
-        QueryFrame query;
-        if (!DecodeQuery(payload, len, &query)) {
-          bad_frames_.fetch_add(1, std::memory_order_relaxed);
-          if (bad_ctr_ != nullptr) bad_ctr_->Add();
+    rpos += kHeaderSize + len;
+
+    if (header.type == FrameType::kQuery) {
+      QueryFrame query;
+      const bool decoded = DecodeQuery(payload, len, &query);
+      const bool valid = decoded && query.m <= opts_.max_query_m;
+      const bool draining = draining_.load(std::memory_order_acquire);
+      const bool admit =
+          valid && !draining && pass_admitted_ < opts_.max_inflight;
+      // Replies leave in request order: a pending run is answered before
+      // anything that does not join it.
+      if (!admit || query.m != run_m_) ServeRun(conn, stamp);
+      if (admit) {
+        run_m_ = query.m;
+        run_ids_.push_back(query.request_id);
+        ++pass_admitted_;
+      } else if (!valid) {
+        Bump(bad_frames_, bad_ctr_);
+        if (!decoded) {
           SendError(conn, 0, ErrorCode::kBadFrame, "bad QUERY payload");
-        } else if (query.m > opts_.max_query_m) {
-          bad_frames_.fetch_add(1, std::memory_order_relaxed);
-          if (bad_ctr_ != nullptr) bad_ctr_->Add();
+        } else {
           SendError(conn, query.request_id, ErrorCode::kBadFrame,
                     "m exceeds cap " + std::to_string(opts_.max_query_m));
-        } else {
-          HandleQuery(conn, query);
         }
-        break;
+      } else if (draining) {
+        Bump(rejected_draining_, draining_ctr_);
+        SendError(conn, query.request_id, ErrorCode::kDraining,
+                  "server is draining");
+      } else {
+        Bump(shed_overloaded_, shed_ctr_);
+        SendError(conn, query.request_id, ErrorCode::kOverloaded,
+                  "admission control: " + std::to_string(opts_.max_inflight) +
+                      " queries per loop pass");
       }
+      continue;
+    }
+
+    ServeRun(conn, stamp);
+    switch (header.type) {
       case FrameType::kMetrics: {
-        scrapes_.fetch_add(1, std::memory_order_relaxed);
-        if (scrapes_ctr_ != nullptr) scrapes_ctr_->Add();
+        Bump(scrapes_, scrapes_ctr_);
         MetricsReplyFrame reply;
         if (opts_.metrics != nullptr) {
           reply.text = obs::PrometheusText(opts_.metrics->Snapshot());
         }
-        std::vector<uint8_t> bytes;
-        AppendMetricsReply(reply, &bytes);
-        ReplyNow(conn, bytes);
+        AppendMetricsReply(reply, &conn.wbuf);
         break;
       }
       case FrameType::kHealth: {
-        health_checks_.fetch_add(1, std::memory_order_relaxed);
-        if (health_ctr_ != nullptr) health_ctr_->Add();
+        Bump(health_checks_, health_ctr_);
         HealthReplyFrame reply;
         reply.status = draining_.load(std::memory_order_acquire)
                            ? HealthStatus::kDraining
                            : HealthStatus::kServing;
         reply.epoch = server_.epoch();
-        reply.inflight = inflight_.load(std::memory_order_acquire);
+        reply.inflight = 0;  // every earlier QUERY is already answered
         reply.queries = replies_.load(std::memory_order_relaxed);
         reply.degraded = server_.degraded();
         reply.stale_epochs = server_.epochs_since_publish();
-        std::vector<uint8_t> bytes;
-        AppendHealthReply(reply, &bytes);
-        ReplyNow(conn, bytes);
+        AppendHealthReply(reply, &conn.wbuf);
         break;
       }
       default:
         // Reply frames from a client, or an unknown id: the length is
         // known, so skip the payload and keep the connection.
-        bad_frames_.fetch_add(1, std::memory_order_relaxed);
-        if (bad_ctr_ != nullptr) bad_ctr_->Add();
+        Bump(bad_frames_, bad_ctr_);
         SendError(conn, 0, ErrorCode::kBadType,
                   std::string("unexpected frame type ") +
                       FrameTypeName(header.type));
         break;
     }
-    conn->rpos += kHeaderSize + len;
   }
-  if (conn->rpos > 0) {
-    conn->rbuf.erase(conn->rbuf.begin(),
-                     conn->rbuf.begin() + static_cast<ptrdiff_t>(conn->rpos));
-    conn->rpos = 0;
-  }
-  return true;
+  ServeRun(conn, stamp);
+  conn.rbuf.erase(conn.rbuf.begin(),
+                  conn.rbuf.begin() + static_cast<ptrdiff_t>(rpos));
+  return !fatal;
 }
 
-void NetDaemon::HandleQuery(const std::shared_ptr<Connection>& conn,
-                            const QueryFrame& query) {
-  if (draining_.load(std::memory_order_acquire)) {
-    rejected_draining_.fetch_add(1, std::memory_order_relaxed);
-    if (draining_ctr_ != nullptr) draining_ctr_->Add();
-    SendError(conn, query.request_id, ErrorCode::kDraining,
-              "server is draining");
-    return;
+void NetDaemon::ServeRun(Connection& conn, const ReadStamp& stamp) {
+  const size_t count = run_ids_.size();
+  if (count == 0) return;
+  Bump(queries_, queries_ctr_, count);
+
+  if (opts_.deadline_us > 0 &&
+      NanosSince(stamp.arrival_ns) / 1000 >= opts_.deadline_us) {
+    // Explicit timeout instead of a late answer. Counted before the reply
+    // is staged: a client that has read it never scrapes a count missing it.
+    Bump(deadline_exceeded_, deadline_ctr_, count);
+    ErrorFrame error;
+    error.code = ErrorCode::kDeadlineExceeded;
+    error.message = "query deadline expired before serving";
+    for (const uint64_t id : run_ids_) {
+      error.request_id = id;
+      AppendError(error, &conn.wbuf);
+    }
+  } else {
+    batch_.m = run_m_;
+    batch_.Resize(count);
+    server_.ServeBatch(ctx_, &batch_);
+    reply_.epoch = server_.epoch();
+    size_t served = 0;
+    for (size_t i = 0; i < count; ++i) {
+      // Encoded straight from the batch's result vector (swapped in and
+      // back out, so both keep their capacity).
+      reply_.request_id = run_ids_[i];
+      reply_.pages.swap(batch_.results[i]);
+      AppendQueryReply(reply_, &conn.wbuf);
+      served += reply_.pages.size();
+      reply_.pages.swap(batch_.results[i]);
+    }
+    Bump(replies_, replies_ctr_, count);
+    if (request_hist_ != nullptr) {
+      const uint64_t dur_ns = NanosSince(stamp.read_ns);
+      request_hist_->RecordN(dur_ns, count);
+      obs::TraceLog* trace = opts_.trace;
+      if (trace != nullptr && trace->sample_every() > 0 &&
+          request_seq_++ % trace->sample_every() == 0) {
+        trace->EmitSpan("net/request", static_cast<double>(dur_ns) * 1e-3,
+                        {{"m", static_cast<double>(batch_.m)},
+                         {"queries", static_cast<double>(count)},
+                         {"served", static_cast<double>(served)}});
+      }
+    }
   }
-  if (inflight_.load(std::memory_order_acquire) >= opts_.max_inflight) {
-    shed_overloaded_.fetch_add(1, std::memory_order_relaxed);
-    if (shed_ctr_ != nullptr) shed_ctr_->Add();
-    SendError(conn, query.request_id, ErrorCode::kOverloaded,
-              "admission control: " + std::to_string(opts_.max_inflight) +
-                  " queries in flight");
-    return;
-  }
-  inflight_.fetch_add(1, std::memory_order_acq_rel);
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  if (queries_ctr_ != nullptr) queries_ctr_->Add();
-  if (inflight_gauge_ != nullptr) {
-    inflight_gauge_->Set(
-        static_cast<double>(inflight_.load(std::memory_order_relaxed)));
-  }
-  const uint64_t t0 = request_hist_ != nullptr ? obs::FastNowNs() : 0;
-  const uint64_t request_id = query.request_id;
-  const uint32_t m = query.m;
-  const bool accepted = queue_->Submit(
-      m, [this, conn, request_id, m, t0](QueryOutcome outcome,
-                                         std::vector<uint32_t> results) {
-        if (outcome == QueryOutcome::kDeadlineExpired) {
-          // Explicit timeout instead of a silent empty answer. Encoded here
-          // and enqueued (never ReplyNow — this is the consumer thread; only
-          // the event loop touches the socket).
-          ErrorFrame error;
-          error.request_id = request_id;
-          error.code = ErrorCode::kDeadlineExceeded;
-          error.message = "query deadline expired before serving";
-          std::vector<uint8_t> bytes;
-          AppendError(error, &bytes);
-          // Counted before the reply is queued: a client that has read it
-          // must never scrape a count that misses it.
-          deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-          if (deadline_ctr_ != nullptr) deadline_ctr_->Add();
-          EnqueueReply(conn, bytes);
-          inflight_.fetch_sub(1, std::memory_order_acq_rel);
-          return;
-        }
-        QueryReplyFrame reply;
-        reply.request_id = request_id;
-        reply.epoch = server_.epoch();
-        reply.pages = std::move(results);
-        std::vector<uint8_t> bytes;
-        AppendQueryReply(reply, &bytes);
-        replies_.fetch_add(1, std::memory_order_relaxed);
-        if (replies_ctr_ != nullptr) replies_ctr_->Add();
-        EnqueueReply(conn, bytes);
-        if (request_hist_ != nullptr && t0 != 0) {
-          const uint64_t dur_ns = obs::FastNowNs() - t0;
-          request_hist_->Record(dur_ns);
-          obs::TraceLog* trace = opts_.trace;
-          if (trace != nullptr && trace->sample_every() > 0) {
-            const uint64_t seq =
-                request_seq_.fetch_add(1, std::memory_order_relaxed);
-            if (seq % trace->sample_every() == 0) {
-              trace->EmitSpan(
-                  "net/request", static_cast<double>(dur_ns) * 1e-3,
-                  {{"m", static_cast<double>(m)},
-                   {"served", static_cast<double>(reply.pages.size())},
-                   {"inflight",
-                    static_cast<double>(
-                        inflight_.load(std::memory_order_relaxed))}});
-            }
-          }
-        }
-        // Release ordering pairs with the drain check: once the loop sees
-        // inflight == 0, every reply byte is visible in some buffer.
-        inflight_.fetch_sub(1, std::memory_order_acq_rel);
-      });
-  if (!accepted) {  // queue already stopped (hard Stop race)
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    SendError(conn, request_id, ErrorCode::kDraining, "queue stopped");
-  }
+  run_ids_.clear();
 }
 
-void NetDaemon::SendError(const std::shared_ptr<Connection>& conn,
-                          uint64_t request_id, ErrorCode code,
-                          const std::string& message) {
+void NetDaemon::SendError(Connection& conn, uint64_t request_id,
+                          ErrorCode code, const std::string& message) {
   ErrorFrame frame;
   frame.request_id = request_id;
   frame.code = code;
   frame.message = message;
-  std::vector<uint8_t> bytes;
-  AppendError(frame, &bytes);
-  ReplyNow(conn, bytes);
+  AppendError(frame, &conn.wbuf);
 }
 
-void NetDaemon::ReplyNow(const std::shared_ptr<Connection>& conn,
-                         const std::vector<uint8_t>& bytes) {
-  {
-    std::lock_guard<std::mutex> lk(conn->wmutex);
-    if (conn->closed) return;
-    conn->pending.insert(conn->pending.end(), bytes.begin(), bytes.end());
-  }
-  FlushWrites(conn);
-}
-
-void NetDaemon::EnqueueReply(const std::shared_ptr<Connection>& conn,
-                             const std::vector<uint8_t>& bytes) {
-  bool need_wake = false;
-  {
-    std::lock_guard<std::mutex> lk(conn->wmutex);
-    if (conn->closed) return;
-    conn->pending.insert(conn->pending.end(), bytes.begin(), bytes.end());
-    if (!conn->in_flush_list) {
-      conn->in_flush_list = true;
-      std::lock_guard<std::mutex> fl(flush_mutex_);
-      flush_list_.push_back(conn);
-      need_wake = true;
-    }
-  }
-  if (need_wake) Wake();
-}
-
-void NetDaemon::FlushWrites(const std::shared_ptr<Connection>& conn) {
-  {
-    std::lock_guard<std::mutex> lk(conn->wmutex);
-    if (conn->closed) return;
-    if (!conn->pending.empty()) {
-      if (conn->wbuf.empty()) {
-        conn->wbuf.swap(conn->pending);
-        conn->woff = 0;
-      } else {
-        conn->wbuf.insert(conn->wbuf.end(), conn->pending.begin(),
-                          conn->pending.end());
-        conn->pending.clear();
-      }
-    }
-    conn->in_flush_list = false;
-  }
-  while (conn->woff < conn->wbuf.size()) {
-    size_t want = conn->wbuf.size() - conn->woff;
+bool NetDaemon::FlushWrites(Connection& conn) {
+  while (conn.woff < conn.wbuf.size()) {
+    size_t want = conn.wbuf.size() - conn.woff;
     // Fault site: partial writes (short-write path coverage), injected
-    // connection resets, and slow writes on the reply stream. Event-loop
-    // thread only, like every real write here.
+    // connection resets, and slow writes on the reply stream.
     {
       static constexpr uint64_t kHash = fault::Hash(fault::kNetWrite);
       fault::Decision decision;
@@ -625,74 +579,59 @@ void NetDaemon::FlushWrites(const std::shared_ptr<Connection>& conn) {
             // Hard-close mid-stream: the peer sees EOF/ECONNRESET with the
             // reply possibly half-written — exactly the failure a retrying
             // client must survive.
-            CloseConnection(conn->fd);
-            return;
+            CloseConnection(conn.fd);
+            return false;
         }
       }
     }
-    const ssize_t n = ::write(conn->fd, conn->wbuf.data() + conn->woff, want);
+    const ssize_t n = ::write(conn.fd, conn.wbuf.data() + conn.woff, want);
     if (n > 0) {
-      conn->woff += static_cast<size_t>(n);
-      bytes_written_.fetch_add(static_cast<uint64_t>(n),
-                               std::memory_order_relaxed);
-      if (bytes_written_ctr_ != nullptr) {
-        bytes_written_ctr_->Add(static_cast<uint64_t>(n));
-      }
+      conn.woff += static_cast<size_t>(n);
+      Bump(bytes_written_, bytes_written_ctr_, static_cast<uint64_t>(n));
       if (write_hist_ != nullptr) write_hist_->Record(static_cast<uint64_t>(n));
       continue;
     }
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    CloseConnection(conn->fd);
-    return;
+    CloseConnection(conn.fd);
+    return false;
   }
-  if (conn->woff == conn->wbuf.size()) {
-    conn->wbuf.clear();
-    conn->woff = 0;
+  if (conn.woff == conn.wbuf.size()) {
+    conn.wbuf.clear();
+    conn.woff = 0;
   }
-  if (conn->close_when_flushed && conn->unsent() == 0) {
-    CloseConnection(conn->fd);
-    return;
+  if (conn.close_when_flushed && conn.unsent() == 0) {
+    CloseConnection(conn.fd);
+    return false;
   }
   UpdateEpollInterest(conn);
+  return true;
 }
 
-void NetDaemon::UpdateEpollInterest(const std::shared_ptr<Connection>& conn) {
-  const size_t unsent = conn->unsent();
+void NetDaemon::UpdateEpollInterest(Connection& conn) {
+  const size_t unsent = conn.unsent();
   const bool want_write = unsent > 0;
-  bool paused = conn->paused_read;
-  if (!conn->close_when_flushed) {
+  bool paused = conn.paused_read;
+  if (!conn.close_when_flushed) {
     // Write backpressure: a reader slower than its replies stops being read
     // (its queries back up into its kernel socket buffer and TCP window).
     if (!paused && unsent >= opts_.write_high_watermark) paused = true;
     if (paused && unsent < opts_.write_low_watermark) paused = false;
   }
-  if (want_write == conn->want_write && paused == conn->paused_read) return;
-  conn->want_write = want_write;
-  conn->paused_read = paused;
+  if (want_write == conn.want_write && paused == conn.paused_read) return;
+  conn.want_write = want_write;
+  conn.paused_read = paused;
   epoll_event ev{};
   ev.events = (paused ? 0u : (EPOLLIN | EPOLLRDHUP)) |
               (want_write ? EPOLLOUT : 0u);
-  ev.data.fd = conn->fd;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
+  ev.data.fd = conn.fd;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
 }
 
-bool NetDaemon::DrainComplete() {
-  if (inflight_.load(std::memory_order_acquire) != 0) return false;
-  // Anything the consumer enqueued after the in-flight count hit zero is in
-  // a buffer we can see from here (release/acquire on inflight_).
-  std::vector<std::shared_ptr<Connection>> to_flush;
-  {
-    std::lock_guard<std::mutex> lk(flush_mutex_);
-    to_flush.swap(flush_list_);
-  }
-  for (const auto& conn : to_flush) FlushWrites(conn);
-  for (const auto& [fd, conn] : connections_) {
-    if (conn->unsent() > 0) return false;
-    std::lock_guard<std::mutex> lk(conn->wmutex);
-    if (!conn->pending.empty()) return false;
-  }
-  return true;
+bool NetDaemon::DrainComplete() const {
+  return std::none_of(
+      connections_.begin(), connections_.end(),
+      [](const auto& entry) { return entry.second->unsent() > 0; });
 }
 
 }  // namespace randrank::net

@@ -1,6 +1,8 @@
 #ifndef RANDRANK_NET_DAEMON_H_
 #define RANDRANK_NET_DAEMON_H_
 
+#include <sys/types.h>
+
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -11,7 +13,6 @@
 #include <vector>
 
 #include "net/protocol.h"
-#include "serve/batch_queue.h"
 #include "serve/sharded_rank_server.h"
 
 namespace randrank::net {
@@ -27,11 +28,10 @@ struct NetDaemonOptions {
   /// Connections beyond this are accepted and immediately closed (the
   /// kernel's backlog already smooths bursts; this caps steady-state fds).
   size_t max_connections = 1024;
-  /// Admission control: QUERY frames accepted but not yet answered, across
-  /// all connections. At the cap new queries are shed with an immediate
-  /// ERROR/OVERLOADED reply instead of growing the queue — in-flight count
-  /// IS the BatchQueue depth plus the batch being served, so this is the
-  /// queue-depth shed bound. 0 selects 1.
+  /// Admission control: at most this many QUERY frames are served per pass
+  /// of the event loop (one epoll_wait's ready connections, each read until
+  /// its socket is empty — the backlog built up during the previous pass);
+  /// the pass's later QUERYs get an immediate ERROR/OVERLOADED. 0 selects 1.
   size_t max_inflight = 4096;
   /// Per-query result-count cap; QUERYs asking for more get BAD_FRAME.
   uint32_t max_query_m = 1024;
@@ -46,11 +46,14 @@ struct NetDaemonOptions {
   /// readers that never drained their replies) after this many ms. 0 waits
   /// forever.
   uint64_t drain_timeout_ms = 10000;
-  /// Batching front-end knobs, passed through to the internal BatchQueue.
-  /// max_pending is ignored (admission control sheds instead of blocking
-  /// the event loop) and the queue's obs endpoints default to this
-  /// daemon's when unset.
-  BatchQueueOptions queue;
+  /// Per-query deadline, measured from the kernel's receive timestamp of the
+  /// read that delivered the QUERY (SO_TIMESTAMPNS: the time its newest
+  /// bytes reached the socket, so the wait in the socket buffer counts) to
+  /// the start of the ServeBatch that would answer it. A query past it is
+  /// answered ERROR/DEADLINE_EXCEEDED instead of being served late — an
+  /// explicit timeout, never a silent wrong answer. 0 (default) disables it
+  /// and the receive timestamps.
+  uint64_t deadline_us = 0;
   /// Observability (optional, borrowed; must outlive the daemon). Counters,
   /// gauges, and histograms land under `<obs_prefix>/`; the METRICS scrape
   /// frame answers with PrometheusText over this registry's full snapshot
@@ -68,8 +71,8 @@ struct NetDaemonStats {
   uint64_t replies = 0;
   uint64_t shed_overloaded = 0;
   uint64_t rejected_draining = 0;
-  /// Queries answered with ERROR/DEADLINE_EXCEEDED because they waited past
-  /// the queue's per-query deadline (BatchQueueOptions::deadline_us).
+  /// Queries answered with ERROR/DEADLINE_EXCEEDED because their
+  /// NetDaemonOptions::deadline_us ran out before serving began.
   uint64_t deadline_exceeded = 0;
   uint64_t bad_frames = 0;
   uint64_t scrapes = 0;
@@ -81,43 +84,47 @@ struct NetDaemonStats {
 /// Stand-alone network serving daemon: the service boundary in front of
 /// ShardedRankServer. One epoll event loop (its own thread) owns the listen
 /// socket and every connection, speaks the length-prefixed binary protocol
-/// of net/protocol.h, and feeds QUERY frames into an internal BatchQueue —
-/// so the wire path rides the same adaptive batching, and answers are
-/// drawn from the same RCU-pinned ServingView mechanics, as in-process
-/// callers. METRICS frames answer with the Prometheus exposition of the
-/// attached registry ("metrics over the wire"); HEALTH reports epoch,
-/// in-flight depth, and drain state.
+/// of net/protocol.h, and answers QUERY frames itself, run to completion:
+/// each read pass decodes every complete frame, each run of consecutive
+/// same-m QUERYs is answered by one ServeBatch on the loop's own serving
+/// Context, and the replies are encoded straight into the connection's
+/// write buffer and flushed once per readiness event. A run is answered
+/// before any later reply, so every connection gets its replies in request
+/// order. METRICS frames answer with the Prometheus exposition of the
+/// attached registry ("metrics over the wire"); HEALTH reports epoch and
+/// drain state (its in-flight depth reads 0: every QUERY before a HEALTH
+/// frame is answered first).
 ///
 /// Threading:
-///  * The event loop thread does all socket I/O and owns connection
-///    lifetimes. It never blocks on serving — queries are handed to the
-///    BatchQueue's consumer thread via callbacks.
-///  * Reply callbacks run on the queue's consumer thread: they encode into
-///    the connection's outbound buffer (a mutex the event loop only takes
-///    for buffer swaps) and wake the loop through an eventfd. No serving
-///    work happens on the event loop; no socket work happens on the
-///    consumer.
+///  * The event loop thread does all socket I/O, all serving, and owns
+///    connection lifetimes; nothing it touches per request is shared with
+///    another thread except the server's RCU-published view.
 ///  * The writer thread (whoever calls server.Update()) is untouched:
 ///    epoch publishes and policy hot-swaps land mid-traffic exactly as for
-///    in-process callers — queries pinned to the old view complete under
+///    in-process callers — a batch pinned to the old view completes under
 ///    it, no query is dropped (tests/net_test.cc exercises continuous
 ///    hot-swaps through the socket under TSan).
 ///
-/// Overload behavior: admission control bounds accepted-but-unanswered
-/// queries (max_inflight); beyond it QUERYs get an immediate
-/// ERROR/OVERLOADED reply, so a saturated server stays responsive and
-/// clients get an explicit retry signal instead of a hang. Per-connection
-/// write backpressure pauses reading from clients too slow to take their
-/// replies.
+/// Overload behavior: while the loop serves one pass, new requests wait in
+/// the kernel socket buffers. The next pass reads each ready socket until
+/// it is empty, so it sees that backlog: admission control serves at most
+/// max_inflight QUERYs per pass and answers the rest with an immediate
+/// ERROR/OVERLOADED, and deadline_us, counted from the kernel receive
+/// timestamp, turns a query that waited too long into
+/// ERROR/DEADLINE_EXCEEDED. A flood gets an explicit retry signal instead of
+/// a hang. Per-connection write backpressure pauses reading from clients
+/// too slow to take their replies.
 ///
 /// Shutdown: Drain() (also the SIGTERM path in tools/randrankd) stops
-/// accepting, answers new QUERYs with ERROR/DRAINING, lets every accepted
-/// query complete and flush, then closes. Stop() is immediate.
+/// accepting, answers new QUERYs with ERROR/DRAINING — also everything
+/// already waiting in any connection's socket when the loop notices the
+/// drain (each is read until empty before the drain can end) — flushes
+/// every reply, then closes. Stop() is immediate.
 class NetDaemon {
  public:
   /// The daemon serves `server` (borrowed; must outlive the daemon). The
-  /// internal BatchQueue is created at Start(), so its consumer context is
-  /// the server's next CreateContext() stream.
+  /// loop's serving Context is created at Start(), so it is the server's
+  /// next CreateContext() stream.
   NetDaemon(ShardedRankServer& server, NetDaemonOptions options = {});
   ~NetDaemon();
 
@@ -133,50 +140,54 @@ class NetDaemon {
   uint16_t port() const { return port_; }
 
   /// Graceful drain: stop accepting connections, reject new queries with
-  /// ERROR/DRAINING, complete and flush every in-flight query, then close
-  /// everything and join. Returns true when everything drained cleanly,
-  /// false when the drain deadline force-closed leftovers. Idempotent;
-  /// concurrent callers are serialized.
+  /// ERROR/DRAINING, flush every reply, then close everything and join.
+  /// Returns true when everything drained cleanly, false when the drain
+  /// deadline force-closed leftovers. Idempotent; concurrent callers are
+  /// serialized.
   bool Drain();
 
-  /// Immediate stop: abandon connections (already-accepted queries are
-  /// still served by the queue drain, but replies are not flushed).
+  /// Immediate stop: abandon connections and their unsent replies.
   void Stop();
 
   bool draining() const { return draining_.load(std::memory_order_acquire); }
-  /// Queries accepted but not yet answered.
-  uint64_t inflight() const { return inflight_.load(std::memory_order_acquire); }
 
   NetDaemonStats stats() const;
 
  private:
   struct Connection;
+  /// When one read's bytes arrived, on the fast clock (obs::FastNowNs).
+  struct ReadStamp {
+    uint64_t read_ns = 0;     // the read returned
+    uint64_t arrival_ns = 0;  // the kernel received them (deadline origin)
+  };
 
   void Loop();
   void AcceptNew();
-  void HandleReadable(const std::shared_ptr<Connection>& conn);
-  /// Parses every complete frame in the connection's read buffer; returns
-  /// false when the connection must close (fatal protocol error).
-  bool ParseFrames(const std::shared_ptr<Connection>& conn);
-  void HandleQuery(const std::shared_ptr<Connection>& conn,
-                   const QueryFrame& query);
-  /// Appends an encoded reply (event-loop thread) and flushes.
-  void ReplyNow(const std::shared_ptr<Connection>& conn,
-                const std::vector<uint8_t>& bytes);
-  void SendError(const std::shared_ptr<Connection>& conn, uint64_t request_id,
-                 ErrorCode code, const std::string& message);
-  /// Appends an encoded reply from the queue-consumer thread and wakes the
-  /// event loop to flush it.
-  void EnqueueReply(const std::shared_ptr<Connection>& conn,
-                    const std::vector<uint8_t>& bytes);
+  /// Reads until the socket is empty, answering every complete frame after
+  /// each read; stops early once the pass has admitted max_inflight QUERYs
+  /// or the connection hit its write high watermark. Returns false when
+  /// the connection was closed (it must not be touched again).
+  bool HandleReadable(Connection& conn);
+  /// One recvmsg into read_chunk_ (with the kernel receive timestamp when
+  /// deadlines are on); returns what read() would.
+  ssize_t ReadChunk(Connection& conn, ReadStamp* stamp);
+  /// Answers every complete frame in the connection's read buffer; returns
+  /// false on a fatal protocol error (the error reply is already staged).
+  bool ParseFrames(Connection& conn, const ReadStamp& stamp);
+  /// Answers the pending run of same-m QUERYs with one ServeBatch, or with
+  /// DEADLINE_EXCEEDED when the bytes that delivered them are too old.
+  void ServeRun(Connection& conn, const ReadStamp& stamp);
+  void SendError(Connection& conn, uint64_t request_id, ErrorCode code,
+                 const std::string& message);
   /// Writes as much buffered output as the socket takes; arms/disarms
-  /// EPOLLOUT and read-pause watermarks. Event-loop thread only.
-  void FlushWrites(const std::shared_ptr<Connection>& conn);
+  /// EPOLLOUT and read-pause watermarks. Returns false when the connection
+  /// was closed.
+  bool FlushWrites(Connection& conn);
   void CloseConnection(int fd);
-  void UpdateEpollInterest(const std::shared_ptr<Connection>& conn);
+  void UpdateEpollInterest(Connection& conn);
   void Wake();
-  /// True when draining and nothing is left to answer or flush.
-  bool DrainComplete();
+  /// True when nothing is left to flush.
+  bool DrainComplete() const;
   void JoinAndTearDown();
 
   ShardedRankServer& server_;
@@ -184,18 +195,24 @@ class NetDaemon {
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;
+  int wake_fd_ = -1;  // Drain()/Stop() wake the loop through it
   uint16_t port_ = 0;
-  std::unique_ptr<BatchQueue> queue_;
   std::thread loop_thread_;
 
-  /// Event-loop-owned connection table.
-  std::unordered_map<int, std::shared_ptr<Connection>> connections_;
-
-  /// Connections with replies enqueued by the consumer thread, awaiting an
-  /// event-loop flush.
-  std::mutex flush_mutex_;
-  std::vector<std::shared_ptr<Connection>> flush_list_;
+  /// Event-loop state.
+  std::unordered_map<int, std::unique_ptr<Connection>> connections_;
+  ShardedRankServer::Context ctx_;
+  std::vector<uint8_t> read_chunk_;
+  /// The pending run: request ids of consecutive admitted QUERYs of m
+  /// `run_m_`.
+  std::vector<uint64_t> run_ids_;
+  uint32_t run_m_ = 0;
+  /// QUERYs admitted in the current loop pass (admission control).
+  size_t pass_admitted_ = 0;
+  QueryBatch batch_;
+  QueryReplyFrame reply_;
+  /// Drives 1-in-sample_every net/request span sampling.
+  uint64_t request_seq_ = 0;
 
   std::atomic<bool> started_{false};
   std::atomic<bool> draining_{false};
@@ -205,7 +222,8 @@ class NetDaemon {
   /// Written by the event-loop thread before it exits, read after join.
   bool drain_was_clean_ = true;
 
-  std::atomic<uint64_t> inflight_{0};
+  /// Written by the event loop only; atomic so stats() can read them from
+  /// any thread.
   std::atomic<uint64_t> active_{0};
   std::atomic<uint64_t> accepts_{0};
   std::atomic<uint64_t> queries_{0};
@@ -218,8 +236,6 @@ class NetDaemon {
   std::atomic<uint64_t> health_checks_{0};
   std::atomic<uint64_t> bytes_read_{0};
   std::atomic<uint64_t> bytes_written_{0};
-  /// Drives 1-in-sample_every net/request span sampling (consumer thread).
-  std::atomic<uint64_t> request_seq_{0};
 
   /// Registry endpoints, resolved once at construction (null when
   /// opts_.metrics is null).
@@ -235,7 +251,6 @@ class NetDaemon {
   obs::Counter* bytes_read_ctr_ = nullptr;
   obs::Counter* bytes_written_ctr_ = nullptr;
   obs::Gauge* active_gauge_ = nullptr;
-  obs::Gauge* inflight_gauge_ = nullptr;
   obs::Gauge* draining_gauge_ = nullptr;
   obs::LatencyHistogram* request_hist_ = nullptr;
   obs::LatencyHistogram* read_hist_ = nullptr;

@@ -29,13 +29,15 @@ struct TraceOptions {
 /// accepts every emitted line, so spans ride the same feed, validators, and
 /// tooling as the perf records):
 ///
-///   {"bench":"span/serve/query","dur_us":3.1,"m":20,...,"family":"selective"}
+///   {"bench":"span/serve/batch","dur_us":3.1,"epoch":4,"m":20,"queries":1,
+///    "served":20,"family":"selective"}
 ///
-/// The serve layer emits two span families: per-query spans (service time,
-/// cache branch, policy family, shard fan-out — sampled) and epoch-publish
-/// phase spans (shard re-sort, merge, BuildEpochState, policy swap, RCU
-/// publish — always emitted). The queue layer adds sampled drain spans
-/// (queue depth, batch size, wait).
+/// The serve layer emits two span families: per-batch spans (service time,
+/// epoch, m, queries, policy family — sampled; a ServeTopM is a batch of
+/// one) and epoch-publish phase spans (diff, merge, BuildEpochState, policy
+/// swap, RCU publish — always emitted). The queue layer adds sampled drain
+/// spans (queue depth, drain cause) and the daemon sampled net/request
+/// spans.
 ///
 /// Thread-safe: emission takes a mutex, which is fine because spans are
 /// sampled (or rare) by design — the hot path's cost is the sampling

@@ -275,36 +275,33 @@ size_t ShardedRankServer::ServeTopM(Context& ctx, size_t m,
   out->clear();
   const ServingView* view = ctx.handle_.Get();
   if (view == nullptr || m == 0) return 0;
-  return ServeOne(ctx, *view, m, out);
+  return ServeStamped(ctx, *view, m, {out, 1});
 }
 
 size_t ShardedRankServer::ServeBatch(Context& ctx, QueryBatch* batch) const {
   for (auto& result : batch->results) result.clear();
   const ServingView* view = ctx.handle_.Get();
   if (view == nullptr || batch->m == 0) return 0;
-  const ServeObsHooks* hooks = view->obs.get();
-  const size_t queries = batch->results.size();
-  if (hooks == nullptr || queries == 0) {
-    size_t total = 0;
-    for (auto& result : batch->results) {
-      total += ServeUninstrumented(ctx, *view, batch->m, &result);
-    }
-    return total;
-  }
+  return ServeStamped(ctx, *view, batch->m, batch->results);
+}
 
+size_t ShardedRankServer::ServeStamped(
+    Context& ctx, const ServingView& view, size_t m,
+    std::span<std::vector<uint32_t>> outs) const {
   // Batch-granular stamping: two clock reads and one histogram write cover
-  // the whole batch, booking each query's amortized share (batch_ns /
-  // queries). Within one batch of identical-m queries the per-query spread
-  // is below fast-clock resolution anyway; the latency tail that matters —
-  // cross-batch variation from cache misses, epoch swaps, load — survives
-  // intact, and the per-query instrumentation cost drops to ~batch_size-th
-  // of ServeOne's (the serve/obs ablation's <= 5% QPS gate is measured on
-  // this path at batch=16).
-  const uint64_t t0 = obs::FastNowNs();
+  // the whole call, booking each query's amortized share (batch_ns /
+  // queries); a ServeTopM is a batch of one, stamped exactly. Within one
+  // batch of identical-m queries the per-query spread is below fast-clock
+  // resolution anyway; the latency tail that matters — cross-batch
+  // variation from cache misses, epoch swaps, load — survives intact (the
+  // serve/obs ablation's <= 5% QPS gate is measured on this path at
+  // batch=16).
+  const ServeObsHooks* hooks = view.obs.get();
+  const uint64_t t0 = hooks != nullptr ? obs::FastNowNs() : 0;
   size_t total = 0;
-  for (auto& result : batch->results) {
-    total += ServeUninstrumented(ctx, *view, batch->m, &result);
-  }
+  for (auto& out : outs) total += ServeUninstrumented(ctx, view, m, &out);
+  const size_t queries = outs.size();
+  if (hooks == nullptr || queries == 0) return total;
   const uint64_t batch_ns = obs::FastNowNs() - t0;
   hooks->latency->RecordN(batch_ns / queries, queries);
   hooks->queries->Add(queries);
@@ -312,38 +309,13 @@ size_t ShardedRankServer::ServeBatch(Context& ctx, QueryBatch* batch) const {
   if (hooks->trace != nullptr && ctx.obs_seq_++ % hooks->sample_every == 0) {
     hooks->trace->EmitSpan("serve/batch",
                            static_cast<double>(batch_ns) * 1e-3,
-                           {{"epoch", static_cast<double>(view->epoch)},
-                            {"m", static_cast<double>(batch->m)},
+                           {{"epoch", static_cast<double>(view.epoch)},
+                            {"m", static_cast<double>(m)},
                             {"queries", static_cast<double>(queries)},
                             {"served", static_cast<double>(total)}},
                            {{"family", hooks->family}});
   }
   return total;
-}
-
-size_t ShardedRankServer::ServeOne(Context& ctx, const ServingView& view,
-                                   size_t m, std::vector<uint32_t>* out) const {
-  const ServeObsHooks* hooks = view.obs.get();
-  if (hooks == nullptr) return ServeUninstrumented(ctx, view, m, out);
-
-  // True per-query service time: stamped around the realization itself, so
-  // the histogram measures each query — not batch wall time averaged — at a
-  // fixed few-ns cost (two fast-clock reads + one relaxed fetch_add).
-  const uint64_t t0 = obs::FastNowNs();
-  const size_t served = ServeUninstrumented(ctx, view, m, out);
-  const uint64_t service_ns = obs::FastNowNs() - t0;
-  hooks->latency->Record(service_ns);
-  hooks->queries->Add();
-  hooks->slots->Add(served);
-  if (hooks->trace != nullptr && ctx.obs_seq_++ % hooks->sample_every == 0) {
-    hooks->trace->EmitSpan("serve/query",
-                           static_cast<double>(service_ns) * 1e-3,
-                           {{"epoch", static_cast<double>(view.epoch)},
-                            {"m", static_cast<double>(m)},
-                            {"served", static_cast<double>(served)}},
-                           {{"family", hooks->family}});
-  }
-  return served;
 }
 
 size_t ShardedRankServer::ServeUninstrumented(

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,8 +44,9 @@ struct ServeOptions {
   obs::MetricsRegistry* metrics = nullptr;
   /// With `trace` also set, Update() emits epoch-publish phase spans (diff
   /// and delta sort, merge, BuildEpochState, policy swap, RCU publish) and
-  /// the query path emits sampled per-query spans (service time, policy
-  /// family) at the TraceLog's sample_every stride.
+  /// the query path emits sampled "serve/batch" spans (service time, policy
+  /// family; a ServeTopM is a batch of one) at the TraceLog's sample_every
+  /// stride.
   obs::TraceLog* trace = nullptr;
   /// Metric-name prefix, so several servers (e.g. experiment arms) can share
   /// one registry without colliding.
@@ -112,7 +114,8 @@ struct QueryBatch {
 /// state make per-query cost O(m) for the lazy families, (2) ServeBatch
 /// answers B queries per view pin, and (3) serve/batch_queue.h pipelines
 /// many in-flight queries from arbitrary producer threads into ServeBatch
-/// calls.
+/// calls (the network daemon instead batches each read's same-m QUERYs on
+/// its own event loop).
 class ShardedRankServer {
  public:
   /// A serving thread's private state. Create one per worker via
@@ -257,12 +260,13 @@ class ShardedRankServer {
   const std::string& obs_prefix() const { return opts_.obs_prefix; }
 
  private:
-  /// One query against an already-pinned view; the shared core of ServeTopM
-  /// and ServeBatch (so the two are bit-identical given the same Rng state).
-  /// Wraps ServeUninstrumented with the per-query latency record and the
-  /// sampled query span when the view carries obs hooks.
-  size_t ServeOne(Context& ctx, const ServingView& view, size_t m,
-                  std::vector<uint32_t>* out) const;
+  /// The one serve path of ServeTopM (a batch of one) and ServeBatch: a
+  /// fresh realization per entry of `outs` against an already-pinned view,
+  /// in order from the context's Rng stream (so the two are bit-identical
+  /// given the same Rng state), with one latency stamp and the sampled
+  /// "serve/batch" span when the view carries obs hooks.
+  size_t ServeStamped(Context& ctx, const ServingView& view, size_t m,
+                      std::span<std::vector<uint32_t>> outs) const;
   size_t ServeUninstrumented(Context& ctx, const ServingView& view, size_t m,
                              std::vector<uint32_t>* out) const;
   /// Builds the epoch's resolved obs endpoints (null when metrics are off).

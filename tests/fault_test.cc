@@ -78,13 +78,16 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(FaultPlan::Parse("point=a,justaword", &plan, &error));
   EXPECT_NE(error.find("'='"), std::string::npos) << error;
   // Numbers past 2^64 - 1 are rejected, not wrapped (nth=2^64 would arm
-  // nth=0, "no constraint"), and so is a fraction whose digits overflow.
+  // nth=0, "no constraint"). A probability's fraction is not an integer: a
+  // long run of digits is a valid decimal and rounds to a double.
   EXPECT_FALSE(FaultPlan::Parse("point=a,nth=18446744073709551616", &plan,
                                 &error));
   EXPECT_NE(error.find("bad value"), std::string::npos) << error;
   EXPECT_FALSE(FaultPlan::Parse("seed=99999999999999999999", &plan, &error));
-  EXPECT_FALSE(
-      FaultPlan::Parse("point=a,prob=0.99999999999999999999", &plan, &error));
+  ASSERT_TRUE(
+      FaultPlan::Parse("point=a,prob=0.99999999999999999999", &plan, &error))
+      << error;
+  EXPECT_EQ(plan.rules[0].prob, 1.0);
   ASSERT_TRUE(
       FaultPlan::Parse("point=a,nth=18446744073709551615", &plan, &error))
       << error;

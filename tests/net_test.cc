@@ -23,6 +23,7 @@
 #include "net/client.h"
 #include "net/daemon.h"
 #include "obs/metrics.h"
+#include "serve/batch_queue.h"
 #include "serve/sharded_rank_server.h"
 #include "util/rng.h"
 
@@ -438,7 +439,7 @@ struct DaemonHarness {
 };
 
 // A query through the socket is answered bit-identically to the in-process
-// serve path: the daemon's BatchQueue consumer context is the server's next
+// serve path: the daemon's event-loop context is the server's next
 // CreateContext() Rng stream, and ServeBatch == sequential ServeTopM. A
 // reference server built identically answers the same m-sequence in
 // process; the wire adds framing, not distribution drift.
@@ -473,24 +474,25 @@ TEST(NetDaemonTest, SocketRepliesAreBitIdenticalToInProcess) {
 }
 
 // Flooding past max_inflight gets explicit OVERLOADED errors, promptly —
-// never a hang, never a dropped frame. Deadline batching holds the first
-// batch in service, so the pipelined flood deterministically overruns the
-// tiny in-flight cap.
+// never a hang, never a dropped frame. The flood goes out in one write, so
+// it lands in one loop pass and deterministically overruns the tiny
+// per-pass admission cap.
 TEST(NetDaemonTest, OverloadShedsWithExplicitReply) {
   NetDaemonOptions options;
   options.max_inflight = 4;
-  options.queue.max_batch = 64;
-  options.queue.max_delay_us = 50000;
   DaemonHarness harness(2000, options);
 
   NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", harness.daemon->port(), 10, 100,
                              10000));
   const int kFlood = 64;
+  std::vector<uint8_t> flood;
   for (int q = 0; q < kFlood; ++q) {
-    uint64_t id = 0;
-    ASSERT_TRUE(client.SendQuery(10, q, &id));
+    AppendQuery(QueryFrame{static_cast<uint64_t>(q + 1),
+                           static_cast<uint64_t>(q), 10},
+                &flood);
   }
+  ASSERT_TRUE(client.SendRaw(flood));
   int ok = 0;
   int overloaded = 0;
   for (int q = 0; q < kFlood; ++q) {
@@ -515,10 +517,16 @@ TEST(NetDaemonTest, OverloadShedsWithExplicitReply) {
 // Graceful drain: queries already accepted complete and flush; a query
 // arriving mid-drain gets ERROR/DRAINING; the connection then sees EOF.
 TEST(NetDaemonTest, DrainCompletesInFlightAndRejectsNew) {
-  NetDaemonOptions options;
-  options.queue.max_batch = 64;
-  options.queue.max_delay_us = 200000;  // holds the batch while we drain
-  DaemonHarness harness(2000, options);
+  // Every reply write stalls 200 ms, so the loop is still flushing the
+  // accepted queries' replies when the drain starts and the late query
+  // lands; it reads that query in its first pass after seeing the drain.
+  // (Installed before the daemon exists, uninstalled after it stopped.)
+  fault::FaultPlan plan;
+  ASSERT_TRUE(fault::FaultPlan::Parse(
+      "point=net.write,action=delay,delay_us=200000", &plan, nullptr));
+  fault::FaultInjector injector(std::move(plan));
+  fault::ScopedFaultInjector scoped(&injector);
+  DaemonHarness harness(2000);
 
   NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", harness.daemon->port(), 10));
@@ -527,9 +535,9 @@ TEST(NetDaemonTest, DrainCompletesInFlightAndRejectsNew) {
     uint64_t id = 0;
     ASSERT_TRUE(client.SendQuery(10, q, &id));
   }
-  // Wait until the daemon has admitted them (they sit in the deadline
-  // batch), then drain concurrently.
-  while (harness.daemon->inflight() <
+  // Wait until the daemon has answered them (their replies are staged and
+  // flushing), then drain concurrently.
+  while (harness.daemon->stats().replies <
          static_cast<uint64_t>(kInFlight)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -563,6 +571,56 @@ TEST(NetDaemonTest, DrainCompletesInFlightAndRejectsNew) {
   EXPECT_TRUE(drain_clean.load());
   // The daemon closed everything after the clean drain.
   EXPECT_FALSE(client.ReadFrameRaw(nullptr, nullptr));
+}
+
+// A drain answers every request already waiting when the loop notices it,
+// on every connection — also those one epoll_wait does not report (it
+// returns at most 64 ready connections).
+TEST(NetDaemonTest, DrainAnswersRequestsWaitingOnEveryConnection) {
+  DaemonHarness harness(2000);
+  constexpr int kWaiting = 70;
+  NetClient busy;
+  std::vector<std::unique_ptr<NetClient>> waiting;
+  ASSERT_TRUE(busy.Connect("127.0.0.1", harness.daemon->port(), 10));
+  for (int c = 0; c < kWaiting; ++c) {
+    waiting.push_back(std::make_unique<NetClient>());
+    ASSERT_TRUE(waiting.back()->Connect("127.0.0.1", harness.daemon->port(),
+                                        10));
+  }
+  while (harness.daemon->stats().accepts < kWaiting + 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // While the busy query's serving stalls, every waiting connection sends a
+  // QUERY and the drain begins; the loop sees both once the stall ends.
+  fault::FaultPlan plan;
+  ASSERT_TRUE(fault::FaultPlan::Parse(
+      "point=serve.query,action=delay,delay_us=300000,nth=1", &plan,
+      nullptr));
+  fault::FaultInjector injector(std::move(plan));
+  fault::ScopedFaultInjector scoped(&injector);
+  uint64_t busy_id = 0;
+  ASSERT_TRUE(busy.SendQuery(10, 1, &busy_id));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (int c = 0; c < kWaiting; ++c) {
+    uint64_t id = 0;
+    ASSERT_TRUE(waiting[c]->SendQuery(10, c, &id));
+  }
+  std::atomic<bool> drain_clean{false};
+  std::thread drainer([&] { drain_clean.store(harness.daemon->Drain()); });
+
+  NetClient::QueryResult result;
+  EXPECT_EQ(busy.ReadReply(&result, nullptr), NetClient::Status::kOk);
+  for (int c = 0; c < kWaiting; ++c) {
+    ASSERT_EQ(waiting[c]->ReadReply(&result, nullptr),
+              NetClient::Status::kDraining)
+        << "connection " << c;
+    EXPECT_FALSE(waiting[c]->ReadFrameRaw(nullptr, nullptr));
+  }
+  drainer.join();
+  EXPECT_TRUE(drain_clean.load());
+  EXPECT_EQ(harness.daemon->stats().rejected_draining,
+            static_cast<uint64_t>(kWaiting));
 }
 
 // Epoch publishes and policy hot-swaps land under live socket traffic with
@@ -635,6 +693,13 @@ TEST(NetDaemonTest, MetricsScrapeAndHealthOverTheWire) {
   NetDaemonOptions options;
   options.metrics = &registry;
   DaemonHarness harness(2000, options);
+
+  // An in-process queue on the same server and registry: its metrics ride
+  // the daemon's scrape too.
+  BatchQueueOptions qopts;
+  qopts.metrics = &registry;
+  BatchQueue queue(*harness.server, qopts);
+  queue.Submit(10).get();
 
   NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", harness.daemon->port(), 10));
@@ -759,25 +824,35 @@ TEST(NetDaemonTest, ViolationsGetExplicitErrorsNotHangs) {
 // the connection survives, and once the stall clears queries serve again.
 TEST(NetDaemonTest, DeadlineExpiredQueriesGetExplicitTimeout) {
   NetDaemonOptions options;
-  options.queue.deadline_us = 1000;  // 1 ms budget per query
+  options.deadline_us = 50000;  // 50 ms from the read to serving
   DaemonHarness harness(2000, options);
   NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", harness.daemon->port(), 10));
 
   {
-    // Stall the queue consumer 50 ms at every drain: each query expires
-    // before pickup.
+    // Every query's serving stalls 200 ms. Two pipelined queries of
+    // different m arrive in one read: the first starts serving at once, the
+    // second only after the first's stall, past its deadline.
     fault::FaultPlan plan;
     ASSERT_TRUE(fault::FaultPlan::Parse(
-        "point=queue.serve,action=delay,delay_us=50000", &plan, nullptr));
+        "point=serve.query,action=delay,delay_us=200000", &plan, nullptr));
     fault::FaultInjector injector(std::move(plan));
     fault::ScopedFaultInjector scoped(&injector);
 
+    std::vector<uint8_t> bytes;
+    AppendQuery(QueryFrame{1, 1, 10}, &bytes);
+    AppendQuery(QueryFrame{2, 2, 11}, &bytes);
+    ASSERT_TRUE(client.SendRaw(bytes));
     NetClient::QueryResult result;
-    ASSERT_EQ(client.Query(10, 1, &result),
+    uint64_t id = 0;
+    ASSERT_EQ(client.ReadReply(&result, &id), NetClient::Status::kOk);
+    EXPECT_EQ(id, 1u);
+    EXPECT_EQ(result.pages.size(), 10u);
+    ASSERT_EQ(client.ReadReply(&result, &id),
               NetClient::Status::kDeadlineExceeded);
+    EXPECT_EQ(id, 2u);
     EXPECT_EQ(client.last_error().code, ErrorCode::kDeadlineExceeded);
-    EXPECT_GE(injector.fired(fault::kQueueServe), 1u);
+    EXPECT_EQ(injector.fired(fault::kServeQuery), 1u);
   }
   EXPECT_GE(harness.daemon->stats().deadline_exceeded, 1u);
 
@@ -785,6 +860,156 @@ TEST(NetDaemonTest, DeadlineExpiredQueriesGetExplicitTimeout) {
   NetClient::QueryResult result;
   ASSERT_EQ(client.Query(10, 2, &result), NetClient::Status::kOk);
   EXPECT_EQ(result.pages.size(), 10u);
+  EXPECT_TRUE(harness.daemon->Drain());
+}
+
+// The deadline counts the wait in the socket buffer: a query that sits
+// there while the loop serves another connection's slow query expires,
+// though the read that finally delivers it is fresh.
+TEST(NetDaemonTest, DeadlineCountsTheWaitInTheSocketBuffer) {
+  NetDaemonOptions options;
+  options.deadline_us = 100000;  // 100 ms from the kernel's receive time
+  DaemonHarness harness(2000, options);
+  NetClient busy;
+  NetClient waiting;
+  ASSERT_TRUE(busy.Connect("127.0.0.1", harness.daemon->port(), 10));
+  ASSERT_TRUE(waiting.Connect("127.0.0.1", harness.daemon->port(), 10));
+
+  // The first query's serving stalls 400 ms; the second, sent on another
+  // connection 50 ms into the stall, waits about 350 ms before it is read.
+  fault::FaultPlan plan;
+  ASSERT_TRUE(fault::FaultPlan::Parse(
+      "point=serve.query,action=delay,delay_us=400000,nth=1", &plan,
+      nullptr));
+  fault::FaultInjector injector(std::move(plan));
+  fault::ScopedFaultInjector scoped(&injector);
+  uint64_t busy_id = 0;
+  ASSERT_TRUE(busy.SendQuery(10, 1, &busy_id));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  uint64_t waiting_id = 0;
+  ASSERT_TRUE(waiting.SendQuery(10, 2, &waiting_id));
+
+  NetClient::QueryResult result;
+  uint64_t id = 0;
+  ASSERT_EQ(busy.ReadReply(&result, &id), NetClient::Status::kOk);
+  EXPECT_EQ(id, busy_id);
+  ASSERT_EQ(waiting.ReadReply(&result, &id),
+            NetClient::Status::kDeadlineExceeded);
+  EXPECT_EQ(id, waiting_id);
+  EXPECT_EQ(injector.fired(fault::kServeQuery), 1u);
+  EXPECT_EQ(harness.daemon->stats().deadline_exceeded, 1u);
+  EXPECT_TRUE(harness.daemon->Drain());
+}
+
+// Admission control counts the whole backlog one loop pass takes in, across
+// connections: QUERYs that piled up on two connections while the loop was
+// busy are served up to max_inflight, and the rest get OVERLOADED.
+TEST(NetDaemonTest, OverloadCountsTheBacklogOfEveryConnection) {
+  NetDaemonOptions options;
+  options.max_inflight = 4;
+  DaemonHarness harness(2000, options);
+  NetClient busy;
+  NetClient backlog[2];
+  ASSERT_TRUE(busy.Connect("127.0.0.1", harness.daemon->port(), 10));
+  for (NetClient& client : backlog) {
+    ASSERT_TRUE(client.Connect("127.0.0.1", harness.daemon->port(), 10));
+  }
+  // Every connection is accepted before the stall begins.
+  while (harness.daemon->stats().accepts < 3) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // While the first query's serving stalls, two connections each send three
+  // QUERYs; the next pass reads all six.
+  fault::FaultPlan plan;
+  ASSERT_TRUE(fault::FaultPlan::Parse(
+      "point=serve.query,action=delay,delay_us=300000,nth=1", &plan,
+      nullptr));
+  fault::FaultInjector injector(std::move(plan));
+  fault::ScopedFaultInjector scoped(&injector);
+  uint64_t busy_id = 0;
+  ASSERT_TRUE(busy.SendQuery(10, 1, &busy_id));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (size_t c = 0; c < 2; ++c) {
+    std::vector<uint8_t> bytes;
+    for (uint64_t q = 0; q < 3; ++q) {
+      AppendQuery(QueryFrame{q + 1, c * 3 + q, 10}, &bytes);
+    }
+    ASSERT_TRUE(backlog[c].SendRaw(bytes));
+  }
+
+  NetClient::QueryResult result;
+  ASSERT_EQ(busy.ReadReply(&result, nullptr), NetClient::Status::kOk);
+  int ok = 0;
+  int overloaded = 0;
+  for (NetClient& client : backlog) {
+    for (int q = 0; q < 3; ++q) {
+      const NetClient::Status status = client.ReadReply(&result, nullptr);
+      if (status == NetClient::Status::kOk) {
+        ++ok;
+      } else {
+        ASSERT_EQ(status, NetClient::Status::kOverloaded);
+        ++overloaded;
+      }
+    }
+  }
+  EXPECT_EQ(ok, 4);
+  EXPECT_EQ(overloaded, 2);
+  EXPECT_EQ(harness.daemon->stats().shed_overloaded, 2u);
+  EXPECT_TRUE(harness.daemon->Drain());
+}
+
+// One write mixing QUERYs of several m with a HEALTH frame: the daemon
+// answers in request order (each same-m run with one ServeBatch, the HEALTH
+// reply between the runs around it), and the query replies are bit-identical
+// to sequential ServeTopM on a reference server built the same way.
+TEST(NetDaemonTest, MixedPipelineIsAnsweredInRequestOrder) {
+  const size_t kN = 2000;
+  Fixture fixture(kN, 50);
+  ServeOptions sopts;
+  sopts.seed = 11;
+  ShardedRankServer reference(
+      MakePromotionPolicy(RankPromotionConfig::Selective(0.3, 2)), kN, sopts);
+  reference.Update(fixture.popularity, fixture.zero, fixture.birth);
+  auto ref_ctx = reference.CreateContext();
+
+  DaemonHarness harness(kN);
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", harness.daemon->port(), 10));
+
+  // m per request; 0 marks the HEALTH frame.
+  const std::vector<uint32_t> kRequests = {5, 5, 7, 0, 7, 3, 3, 3, 9};
+  std::vector<uint8_t> bytes;
+  for (size_t i = 0; i < kRequests.size(); ++i) {
+    if (kRequests[i] == 0) {
+      AppendHealth(&bytes);
+    } else {
+      AppendQuery(QueryFrame{i + 1, i, kRequests[i]}, &bytes);
+    }
+  }
+  ASSERT_TRUE(client.SendRaw(bytes));
+
+  for (size_t i = 0; i < kRequests.size(); ++i) {
+    FrameHeader header;
+    std::vector<uint8_t> payload;
+    ASSERT_TRUE(client.ReadFrameRaw(&header, &payload)) << "reply " << i;
+    if (kRequests[i] == 0) {
+      ASSERT_EQ(header.type, FrameType::kHealthReply) << "reply " << i;
+      HealthReplyFrame health;
+      ASSERT_TRUE(DecodeHealthReply(payload.data(), payload.size(), &health));
+      EXPECT_EQ(health.status, HealthStatus::kServing);
+      EXPECT_EQ(health.queries, 3u);  // the two runs before it
+      continue;
+    }
+    ASSERT_EQ(header.type, FrameType::kQueryReply) << "reply " << i;
+    QueryReplyFrame reply;
+    ASSERT_TRUE(DecodeQueryReply(payload.data(), payload.size(), &reply));
+    EXPECT_EQ(reply.request_id, i + 1);
+    std::vector<uint32_t> expected;
+    reference.ServeTopM(ref_ctx, kRequests[i], &expected);
+    EXPECT_EQ(reply.pages, expected) << "diverged at request " << i;
+  }
+  EXPECT_EQ(harness.daemon->stats().replies, 8u);
   EXPECT_TRUE(harness.daemon->Drain());
 }
 

@@ -113,8 +113,8 @@ TEST(PolicyFactoryTest, LabelsRoundTripThroughMakePolicyFromLabel) {
   EXPECT_EQ(MakePolicyFromLabel("ts-promo(a=1.00,b=3.00,c=20.0,k=1)x"),
             nullptr);
   EXPECT_EQ(MakePolicyFromLabel(""), nullptr);
-  // %lf reads "nan" and "inf" and %zu reads "-1" as SIZE_MAX, so these
-  // parse; Valid() and the digit check after "k=" reject them.
+  // %lf reads "nan" and "inf", so these parse; Valid() rejects them. k is
+  // digits only, so "-1" is rejected rather than wrapped to SIZE_MAX.
   EXPECT_EQ(MakePolicyFromLabel("uniform(r=nan,k=1)"), nullptr);
   EXPECT_EQ(MakePolicyFromLabel("selective(r=nan,k=2)"), nullptr);
   EXPECT_EQ(MakePolicyFromLabel("plackett-luce(T=inf)"), nullptr);
@@ -124,6 +124,26 @@ TEST(PolicyFactoryTest, LabelsRoundTripThroughMakePolicyFromLabel) {
             nullptr);
   EXPECT_EQ(MakePolicyFromLabel("eps-tail(eps=0.10,k=-1)"), nullptr);
   EXPECT_EQ(MakePolicyFromLabel("selective(r=0.10,k=-1)"), nullptr);
+  // A k past 2^64 - 1 is rejected, not saturated to 2^64 - 1 (which would
+  // map the label to a different one), and so is a sign or a space.
+  EXPECT_EQ(
+      MakePolicyFromLabel("eps-tail(eps=0.10,k=99999999999999999999999)"),
+      nullptr);
+  EXPECT_EQ(MakePolicyFromLabel("selective(r=0.10,k=18446744073709551616)"),
+            nullptr);
+  EXPECT_EQ(MakePolicyFromLabel("uniform(r=0.10,k=99999999999999999999999)"),
+            nullptr);
+  EXPECT_EQ(MakePolicyFromLabel(
+                "ts-promo(a=1.00,b=3.00,c=20.0,k=99999999999999999999999)"),
+            nullptr);
+  EXPECT_EQ(MakePolicyFromLabel("eps-tail(eps=0.10,k=+5)"), nullptr);
+  EXPECT_EQ(MakePolicyFromLabel("ts-promo(a=1.00,b=3.00,c=20.0,k= 1)"),
+            nullptr);
+  EXPECT_EQ(MakePolicyFromLabel("selective(r=0.10,k=2))"), nullptr);
+  // The largest k still parses and round-trips.
+  const auto big = MakePolicyFromLabel("eps-tail(eps=0.10,k=18446744073709551615)");
+  ASSERT_NE(big, nullptr);
+  EXPECT_EQ(big->Label(), "eps-tail(eps=0.10,k=18446744073709551615)");
 }
 
 // Rejections carry a diagnostic that echoes the offending label; unknown

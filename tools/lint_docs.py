@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fail CI when the docs drift from the code they document.
 
-Two mechanical checks, both run by default:
+Three mechanical checks, all run by default:
 
   --protocol   docs/PROTOCOL.md vs src/net/protocol.h. Every enumerator of
                FrameType / ErrorCode / HealthStatus (parsed as `kName = value`)
@@ -20,10 +20,20 @@ Two mechanical checks, both run by default:
                matched as one path component ([^/]+), so `exp/arm:<arm>/split`
                covers every arm.
 
+  --flags      docs/RUNBOOK.md and README.md vs the tools' usage text.
+               Every `--flag` the docs give for randrankd or net_client must
+               appear in that tool's Usage() text (tools/<tool>.cc), so a
+               removed flag cannot linger in the docs. A flag belongs to the
+               tool named last before it in its paragraph; in RUNBOOK.md a
+               paragraph that names no tool is about randrankd. Naming any
+               other program (`examples/chaos_serve`, `bench/perf_net`, ...)
+               ends the attribution until a tool is named again.
+
 Usage:
-  tools/lint_docs.py                      # both checks, default paths
+  tools/lint_docs.py                      # all checks, default paths
   tools/lint_docs.py --protocol
   tools/lint_docs.py --metrics --dump ./build/tools/dump_metrics
+  tools/lint_docs.py --flags
 """
 
 import argparse
@@ -35,6 +45,7 @@ import sys
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
 PROTOCOL_ENUMS = ("FrameType", "ErrorCode", "HealthStatus")
+FLAG_TOOLS = ("randrankd", "net_client")
 PROTOCOL_CONSTANTS = ("kMagic", "kProtocolVersion", "kHeaderSize",
                       "kMaxPayload")
 
@@ -183,17 +194,64 @@ def check_metrics(dump_path, doc_path):
     return failures
 
 
+def usage_flags(tool_source):
+    """-> the set of --flags in the Usage() function of a tool's source."""
+    text = tool_source.read_text()
+    m = re.search(r"void Usage\(\) \{(.*?)\n\}", text, re.S)
+    if not m:
+        raise SystemExit(f"lint_docs: no Usage() in {tool_source}")
+    return set(re.findall(r"--[a-z][a-z0-9-]*", m.group(1)))
+
+
+def doc_tool_flags(doc_path, default_tool):
+    """-> [(line_no, tool, flag)] for every --flag attributed to a tool."""
+    # A tool name, any other program path, or a flag, in text order.
+    token = re.compile(
+        r"(?P<tool>\b(?:%s)\b)"
+        r"|(?P<other>\b(?:examples|bench|tools|build)/[\w/.-]+)"
+        r"|(?P<flag>(?<![\w-])--[a-z][a-z0-9-]*)" % "|".join(FLAG_TOOLS))
+    found = []
+    tool = default_tool
+    for line_no, line in enumerate(doc_path.read_text().splitlines(), 1):
+        if not line.strip() or line.startswith("#"):
+            tool = default_tool  # a new paragraph (or section)
+            continue
+        for m in token.finditer(line):
+            if m.group("tool"):
+                tool = m.group("tool")
+            elif m.group("other"):
+                name = m.group("other").rsplit("/", 1)[-1]
+                tool = name if name in FLAG_TOOLS else None
+            elif tool is not None:
+                found.append((line_no, tool, m.group("flag")))
+    return found
+
+
+def check_flags(tools_dir, docs):
+    failures = []
+    usage = {tool: usage_flags(tools_dir / f"{tool}.cc")
+             for tool in FLAG_TOOLS}
+    for doc_path, default_tool in docs:
+        for line_no, tool, flag in doc_tool_flags(doc_path, default_tool):
+            if flag not in usage[tool]:
+                failures.append(
+                    f"{doc_path.name}:{line_no}: {flag} is not in "
+                    f"{tool}'s usage text")
+    return failures
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--protocol", action="store_true")
     ap.add_argument("--metrics", action="store_true")
+    ap.add_argument("--flags", action="store_true")
     ap.add_argument("--header", default=str(REPO / "src/net/protocol.h"))
     ap.add_argument("--protocol-doc", default=str(REPO / "docs/PROTOCOL.md"))
     ap.add_argument("--dump", default=str(REPO / "build/tools/dump_metrics"))
     ap.add_argument("--metrics-doc", default=str(REPO / "docs/METRICS.md"))
     args = ap.parse_args()
 
-    run_all = not (args.protocol or args.metrics)
+    run_all = not (args.protocol or args.metrics or args.flags)
     failures = []
     if args.protocol or run_all:
         failures += check_protocol(pathlib.Path(args.header),
@@ -201,6 +259,10 @@ def main():
     if args.metrics or run_all:
         failures += check_metrics(pathlib.Path(args.dump),
                                   pathlib.Path(args.metrics_doc))
+    if args.flags or run_all:
+        failures += check_flags(REPO / "tools",
+                                [(REPO / "docs/RUNBOOK.md", "randrankd"),
+                                 (REPO / "README.md", None)])
 
     if failures:
         print(f"lint_docs: {len(failures)} failure(s)")

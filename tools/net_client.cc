@@ -30,10 +30,12 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "net/client.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -51,14 +53,23 @@ struct Counts {
   uint64_t slots = 0;  // pages received across OK replies
 };
 
-uint64_t ParseU64(const char* s, const char* flag) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') {
-    std::cerr << "net_client: bad value for " << flag << ": " << s << "\n";
+// Upper bound of --seconds: far past any useful run, and low enough that
+// converting it to std::chrono nanoseconds cannot overflow.
+constexpr uint64_t kMaxSeconds = 1'000'000'000;
+// Upper bound of --procs and --conns: each is a process or a socket.
+constexpr uint64_t kMaxWorkers = 1024;
+
+// A flag's value: decimal digits only, within [min, max], else exit 2 —
+// "-1" does not wrap to 2^64 - 1 and "--port 70000" is not cut to 16 bits.
+uint64_t FlagU64(const char* s, const char* flag, uint64_t min,
+                 uint64_t max = std::numeric_limits<uint64_t>::max()) {
+  uint64_t value = 0;
+  if (!randrank::ParseU64(s, &value, min, max)) {
+    std::cerr << "net_client: bad value for " << flag << ": " << s
+              << " (want an integer in [" << min << ", " << max << "])\n";
     std::exit(2);
   }
-  return static_cast<uint64_t>(v);
+  return value;
 }
 
 // xorshift-style per-process user id stream; no repo deps in the child.
@@ -128,8 +139,9 @@ void Usage() {
       "usage: net_client [options]\n"
       "  --host H                daemon address (default 127.0.0.1)\n"
       "  --port P                daemon port (required)\n"
-      "  --procs N               worker processes (default 2)\n"
-      "  --conns N               connections per process (default 2)\n"
+      "  --procs N               worker processes, 1..1024 (default 2)\n"
+      "  --conns N               connections per process, 1..1024\n"
+      "                          (default 2)\n"
       "  --queries N             queries per process; 0 = until --seconds\n"
       "                          (default 1000)\n"
       "  --seconds S             wall-clock cap per process; 0 = none\n"
@@ -140,7 +152,8 @@ void Usage() {
       "  --expect-no-shed        fail unless every query was served OK\n"
       "  --expect-epoch-advance  fail unless the epoch advanced during load\n"
       "  --scrape                validate a METRICS scrape after the load\n"
-      "  --print-scrape          also echo the scrape text to stdout\n";
+      "  --print-scrape          also echo the scrape text to stdout\n"
+      "  -h, --help              print this text\n";
 }
 
 }  // namespace
@@ -176,23 +189,25 @@ int main(int argc, char** argv) {
     } else if (arg == "--host") {
       host = next();
     } else if (arg == "--port") {
-      port = static_cast<uint16_t>(ParseU64(next(), "--port"));
+      port = static_cast<uint16_t>(FlagU64(next(), "--port", 1, 65535));
     } else if (arg == "--procs") {
-      procs = ParseU64(next(), "--procs");
+      procs = FlagU64(next(), "--procs", 1, kMaxWorkers);
     } else if (arg == "--conns") {
-      conns = ParseU64(next(), "--conns");
+      conns = FlagU64(next(), "--conns", 1, kMaxWorkers);
     } else if (arg == "--queries") {
-      queries = ParseU64(next(), "--queries");
+      queries = FlagU64(next(), "--queries", 0);
     } else if (arg == "--seconds") {
-      seconds = ParseU64(next(), "--seconds");
+      seconds = FlagU64(next(), "--seconds", 0, kMaxSeconds);
     } else if (arg == "--m") {
-      m = static_cast<uint32_t>(ParseU64(next(), "--m"));
+      m = static_cast<uint32_t>(
+          FlagU64(next(), "--m", 1, std::numeric_limits<uint32_t>::max()));
     } else if (arg == "--users") {
-      users = ParseU64(next(), "--users");
+      users = FlagU64(next(), "--users", 0);
     } else if (arg == "--retries") {
-      retries = static_cast<int>(ParseU64(next(), "--retries"));
+      retries = static_cast<int>(
+          FlagU64(next(), "--retries", 0, std::numeric_limits<int>::max()));
     } else if (arg == "--seed") {
-      seed = ParseU64(next(), "--seed");
+      seed = FlagU64(next(), "--seed", 0);
     } else if (arg == "--expect-no-shed") {
       expect_no_shed = true;
     } else if (arg == "--expect-epoch-advance") {
@@ -210,10 +225,6 @@ int main(int argc, char** argv) {
   }
   if (port == 0) {
     std::cerr << "net_client: --port is required\n";
-    return 2;
-  }
-  if (procs == 0 || conns == 0) {
-    std::cerr << "net_client: --procs and --conns must be >= 1\n";
     return 2;
   }
   std::signal(SIGPIPE, SIG_IGN);

@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -40,6 +41,7 @@
 #include "obs/trace.h"
 #include "serve/feedback.h"
 #include "serve/sharded_rank_server.h"
+#include "util/parse.h"
 #include "util/rng.h"
 
 namespace {
@@ -50,14 +52,23 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void OnSignal(int /*sig*/) { g_stop = 1; }
 
-uint64_t ParseU64(const char* s, const char* flag) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') {
-    std::cerr << "randrankd: bad value for " << flag << ": " << s << "\n";
+// Upper bounds of the time flags: far past any useful setting, and low
+// enough that converting them to std::chrono nanoseconds cannot overflow.
+constexpr uint64_t kMaxSeconds = 1'000'000'000;
+constexpr uint64_t kMaxMs = kMaxSeconds * 1000;
+constexpr uint64_t kMaxUs = kMaxMs * 1000;
+
+// A flag's value: decimal digits only, within [min, max], else exit 2 —
+// "-1" does not wrap to 2^64 - 1 and "--port 70000" is not cut to 16 bits.
+uint64_t FlagU64(const char* s, const char* flag, uint64_t min,
+                 uint64_t max = std::numeric_limits<uint64_t>::max()) {
+  uint64_t value = 0;
+  if (!randrank::ParseU64(s, &value, min, max)) {
+    std::cerr << "randrankd: bad value for " << flag << ": " << s
+              << " (want an integer in [" << min << ", " << max << "])\n";
     std::exit(2);
   }
-  return static_cast<uint64_t>(v);
+  return value;
 }
 
 void Usage() {
@@ -76,15 +87,18 @@ void Usage() {
       "                        initial epoch (default 250)\n"
       "  --max-epochs N        exit (drain) after N publishes; 0 = forever\n"
       "  --seconds S           exit (drain) after S seconds; 0 = forever\n"
-      "  --max-inflight N      admission-control cap (default 4096)\n"
+      "  --max-inflight N      admission control: QUERYs served per pass\n"
+      "                        of the event loop (the backlog that built up\n"
+      "                        while it was busy); the rest get\n"
+      "                        ERROR/OVERLOADED (default 4096)\n"
       "  --max-conns N         connection cap (default 1024)\n"
       "  --max-m N             per-query result cap (default 1024)\n"
       "  --drain-timeout-ms MS graceful-drain deadline (default 10000)\n"
-      "  --batch N             queue max batch (default 64)\n"
-      "  --batch-delay-us US   queue deadline batching (default 0)\n"
-      "  --deadline-us US      per-query serving deadline; expired queries\n"
-      "                        get ERROR/DEADLINE_EXCEEDED; 0 = off\n"
-      "                        (default 0)\n"
+      "  --deadline-us US      per-query deadline, from the kernel's receive\n"
+      "                        timestamp of the query's bytes (time in the\n"
+      "                        socket buffer counts) to the start of its\n"
+      "                        serving; expired queries get\n"
+      "                        ERROR/DEADLINE_EXCEEDED; 0 = off (default 0)\n"
       "  --fault-plan SPEC     deterministic fault schedule (chaos drills;\n"
       "                        see src/fault/fault.h for the grammar, e.g.\n"
       "                        \"point=net.write,action=reset,prob=0.05\").\n"
@@ -92,7 +106,8 @@ void Usage() {
       "                        the daemon always starts serving\n"
       "  --seed SEED           community + serving seed (default 2026)\n"
       "  --trace-every N       sampled span stride, drained to stderr;\n"
-      "                        0 = off (default 0)\n";
+      "                        0 = off (default 0)\n"
+      "  -h, --help            print this text\n";
 }
 
 }  // namespace
@@ -114,8 +129,6 @@ int main(int argc, char** argv) {
   size_t max_conns = 1024;
   uint32_t max_m = 1024;
   uint64_t drain_timeout_ms = 10000;
-  size_t batch = 64;
-  uint64_t batch_delay_us = 0;
   uint64_t deadline_us = 0;
   std::string fault_plan_spec;
   uint64_t seed = 2026;
@@ -136,43 +149,42 @@ int main(int argc, char** argv) {
     } else if (arg == "--bind") {
       bind_address = next();
     } else if (arg == "--port") {
-      port = static_cast<uint16_t>(ParseU64(next(), "--port"));
+      port = static_cast<uint16_t>(FlagU64(next(), "--port", 0, 65535));
     } else if (arg == "--pages") {
-      pages = ParseU64(next(), "--pages");
+      pages = FlagU64(next(), "--pages", 1,
+                      std::numeric_limits<uint32_t>::max());
     } else if (arg == "--users") {
-      users = ParseU64(next(), "--users");
+      users = FlagU64(next(), "--users", 1,
+                      std::numeric_limits<uint32_t>::max());
     } else if (arg == "--policy") {
       policy_label = next();
     } else if (arg == "--swap-policy") {
       swap_label = next();
     } else if (arg == "--swap-every") {
-      swap_every = ParseU64(next(), "--swap-every");
+      swap_every = FlagU64(next(), "--swap-every", 0);
     } else if (arg == "--epoch-ms") {
-      epoch_ms = ParseU64(next(), "--epoch-ms");
+      epoch_ms = FlagU64(next(), "--epoch-ms", 0, kMaxMs);
     } else if (arg == "--max-epochs") {
-      max_epochs = ParseU64(next(), "--max-epochs");
+      max_epochs = FlagU64(next(), "--max-epochs", 0);
     } else if (arg == "--seconds") {
-      seconds = ParseU64(next(), "--seconds");
+      seconds = FlagU64(next(), "--seconds", 0, kMaxSeconds);
     } else if (arg == "--max-inflight") {
-      max_inflight = ParseU64(next(), "--max-inflight");
+      max_inflight = FlagU64(next(), "--max-inflight", 0);
     } else if (arg == "--max-conns") {
-      max_conns = ParseU64(next(), "--max-conns");
+      max_conns = FlagU64(next(), "--max-conns", 1);
     } else if (arg == "--max-m") {
-      max_m = static_cast<uint32_t>(ParseU64(next(), "--max-m"));
+      max_m = static_cast<uint32_t>(FlagU64(
+          next(), "--max-m", 1, std::numeric_limits<uint32_t>::max()));
     } else if (arg == "--drain-timeout-ms") {
-      drain_timeout_ms = ParseU64(next(), "--drain-timeout-ms");
-    } else if (arg == "--batch") {
-      batch = ParseU64(next(), "--batch");
-    } else if (arg == "--batch-delay-us") {
-      batch_delay_us = ParseU64(next(), "--batch-delay-us");
+      drain_timeout_ms = FlagU64(next(), "--drain-timeout-ms", 0, kMaxMs);
     } else if (arg == "--deadline-us") {
-      deadline_us = ParseU64(next(), "--deadline-us");
+      deadline_us = FlagU64(next(), "--deadline-us", 0, kMaxUs);
     } else if (arg == "--fault-plan") {
       fault_plan_spec = next();
     } else if (arg == "--seed") {
-      seed = ParseU64(next(), "--seed");
+      seed = FlagU64(next(), "--seed", 0);
     } else if (arg == "--trace-every") {
-      trace_every = ParseU64(next(), "--trace-every");
+      trace_every = FlagU64(next(), "--trace-every", 0);
     } else {
       std::cerr << "randrankd: unknown flag " << arg << "\n";
       Usage();
@@ -228,9 +240,7 @@ int main(int argc, char** argv) {
   nopts.max_inflight = max_inflight;
   nopts.max_query_m = max_m;
   nopts.drain_timeout_ms = drain_timeout_ms;
-  nopts.queue.max_batch = batch;
-  nopts.queue.max_delay_us = batch_delay_us;
-  nopts.queue.deadline_us = deadline_us;
+  nopts.deadline_us = deadline_us;
   nopts.metrics = &metrics;
   nopts.trace = trace_every > 0 ? &trace : nullptr;
 
