@@ -1,7 +1,8 @@
 // Serving-throughput benchmark for the query engine: closed-loop QPS and
 // latency percentiles of fresh-realization top-m queries on a 100k-page
 // corpus, swept over worker threads, the degree of randomization r,
-// ServeBatch batch sizes, the policy families, and the Plackett-Luce
+// ServeBatch batch sizes, the policy families, ts-promo by prior and depth
+// (serve/ts_promo:*, with its epoch-state build time), and the Plackett-Luce
 // alias-table epoch state (serve/pl_alias:{on,off} plus a 2x-corpus
 // pl_largen point), plus one async BatchQueue point and an
 // observability-overhead ablation (serve/obs:{on,off} — identical point with
@@ -496,6 +497,40 @@ int main(int argc, char** argv) {
     emit("serve/policy:" + policy->Label(), p, res,
          {{"lazy_prefix", policy->Capabilities().lazy_prefix ? 1.0 : 0.0}},
          "policy", policy->Label());
+  }
+
+  // ts-promo by prior and depth: the benchmark's prior, whose duel-win
+  // probabilities have a closed form (the epoch state serves the first 64
+  // det positions with one coin each), and a non-integer prior without one
+  // (no state: every contested slot draws the literal Beta duel), at m=10
+  // and at m=1024, randrankd's default --max-m, where most slots fall past
+  // the state's head. `epoch_state_us` is the median BuildEpochState time
+  // over the published view, the policy's share of every publish.
+  for (const char* label : {"ts-promo(a=1.00,b=3.00,c=20.0,k=1)",
+                            "ts-promo(a=1.50,b=1.50,c=4.0,k=1)"}) {
+    const auto policy = MakePolicyFromLabel(label);
+    ShardedRankServer server(policy, corpus.popularity.size());
+    server.Update(corpus.popularity, corpus.zero, corpus.birth);
+    const RankView view = server.view()->AsView();
+    std::vector<double> build_us;
+    for (int rep = 0; rep < 21; ++rep) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const auto state = policy->BuildEpochState(view);
+      const auto t1 = std::chrono::steady_clock::now();
+      build_us.push_back(
+          std::chrono::duration<double, std::micro>(t1 - t0).count());
+    }
+    const double state_us = Percentile(build_us, 50.0);
+    for (const size_t m : {10u, 1024u}) {
+      PointConfig p;
+      p.top_m = m;
+      p.policy = policy;
+      p.queries_per_thread = m > 100 ? kQueriesPerThread / 20 : kQueriesPerThread;
+      const WorkloadResult res = MeasurePoint(corpus, p);
+      emit("serve/ts_promo:" + std::string(label) + ":m=" + std::to_string(m),
+           p, res, {{"epoch_state_us", state_us}}, "ts_promo",
+           std::string(label) + " state " + FormatFixed(state_us, 1) + " us");
+    }
   }
 
   // Plackett-Luce alias-table ablation at m=20 on the full corpus (n=100k

@@ -27,6 +27,22 @@ double NextGumbel(Rng& rng) {
 class PlackettLuceEpochState final : public PolicyEpochState {
  public:
   AliasTable table;
+
+  /// One column per det position; every acceptance a probability and every
+  /// alias a det position, so each column holds exactly 1/n of the mass.
+  std::string Check(const RankView& view) const override {
+    if (table.size() != view.det_size) {
+      return "alias table has " + std::to_string(table.size()) +
+             " columns for " + std::to_string(view.det_size) + " det pages";
+    }
+    for (size_t i = 0; i < table.size(); ++i) {
+      if (!(table.accept(i) >= 0.0 && table.accept(i) <= 1.0) ||
+          table.alias(i) >= table.size()) {
+        return "alias column " + std::to_string(i) + " is not normalized";
+      }
+    }
+    return "";
+  }
 };
 
 }  // namespace

@@ -17,8 +17,11 @@ size_t PromotionPolicy::ServePrefix(const RankView& view,
   (void)epoch_state;  // stateless: the view carries everything
   // The protected-prefix copy plus the O(m) randomized splice.
   scratch.pool_sampler.Reset(view.pool, view.pool_size);
-  return MergePrefix(config_, view.det, view.det_size, scratch.pool_sampler,
-                     m, rng, out);
+  const double r = config_.r;
+  return MergePrefix(
+      view.det, view.det_size, config_.k - 1, scratch.pool_sampler, m,
+      [r](size_t, Rng& coin_rng) { return coin_rng.NextBernoulli(r); }, rng,
+      out);
 }
 
 std::vector<uint32_t> PromotionPolicy::MaterializeReference(

@@ -57,14 +57,21 @@ struct RankView {
 /// Opaque, policy-owned state derived once per epoch from the view and
 /// handed back to `ServePrefix` on every query of that epoch. A family
 /// subclasses this with whatever it can precompute — Plackett-Luce's
-/// Walker/Vose alias table over exp(score/T) — instead of the serve layer
-/// growing a bespoke cache per family. Instances must be self-contained (no
-/// borrowed pointers into the view they were built from) and immutable after
-/// construction, so one instance is shared lock-free by all serving threads
-/// and reclaimed with the epoch that built it.
+/// Walker/Vose alias table over exp(score/T), ts-promo's per-rank duel-win
+/// probabilities — instead of the serve layer growing a bespoke cache per
+/// family. Instances must be self-contained (no borrowed pointers into the
+/// view they were built from) and immutable after construction, so one
+/// instance is shared lock-free by all serving threads and reclaimed with
+/// the epoch that built it.
 class PolicyEpochState {
  public:
   virtual ~PolicyEpochState() = default;
+
+  /// Self-check against the view the state was built from: an empty string
+  /// when the state is well formed (finite, in range, sized to the view),
+  /// else the first violation. O(state size); CheckEpochInvariants runs it
+  /// on every publish in debug and sanitizer builds.
+  virtual std::string Check(const RankView& view) const = 0;
 };
 
 /// Reusable per-caller scratch for ServePrefix: a sampler and buffers that

@@ -4,6 +4,13 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <optional>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "core/rank_merge.h"
+#include "util/distributions.h"
 
 namespace randrank {
 
@@ -53,7 +60,49 @@ double NormalizedScore(double score, double max_score) {
   return std::clamp(score / max_score, 0.0, 1.0);
 }
 
+/// Per-epoch state: p for the first det positions of the view it was
+/// built from, each computed in closed form.
+class ThompsonPromoEpochState final : public PolicyEpochState {
+ public:
+  std::vector<double> head;
+
+  /// Sized to the view, finite, in [0, 1] and non-decreasing down the det
+  /// list (scores fall, so does the head's evidence). The slack admits a
+  /// rounding dip between two near-equal scores, far below any real
+  /// inversion.
+  std::string Check(const RankView& view) const override {
+    const size_t expected =
+        std::min(ThompsonPromotionPolicy::kHeadPositions, view.det_size);
+    if (head.size() != expected) {
+      return "ts-promo head holds " + std::to_string(head.size()) +
+             " positions, expected " + std::to_string(expected);
+    }
+    for (size_t i = 0; i < head.size(); ++i) {
+      if (!(head[i] >= 0.0 && head[i] <= 1.0)) {
+        return "ts-promo p at det position " + std::to_string(i) +
+               " is not a probability";
+      }
+      if (i > 0 && head[i] < head[i - 1] - 1e-9) {
+        return "ts-promo p falls at det position " + std::to_string(i);
+      }
+    }
+    return "";
+  }
+};
+
 }  // namespace
+
+std::optional<double> ThompsonPromotionPolicy::PoolOdds(double s) const {
+  return BetaDuelWinProbability(a_, b_, 1.0 + evidence_ * s,
+                                1.0 + evidence_ * (1.0 - s));
+}
+
+bool ThompsonPromotionPolicy::PoolWinsDuel(double s, Rng& rng) const {
+  const double theta_det =
+      SampleBeta(1.0 + evidence_ * s, 1.0 + evidence_ * (1.0 - s), rng);
+  const double theta_pool = SampleBeta(a_, b_, rng);
+  return theta_pool > theta_det;
+}
 
 std::string ThompsonPromotionPolicy::Label() const {
   return FormatLabel("ts-promo(a=%.2f,b=%.2f,c=%.1f,k=%zu)", a_, b_, evidence_,
@@ -80,42 +129,44 @@ bool ThompsonPromotionPolicy::ParseLabel(const std::string& label, double* a,
   return true;
 }
 
+std::shared_ptr<const PolicyEpochState>
+ThompsonPromotionPolicy::BuildEpochState(const RankView& view) const {
+  assert(view.det_size == 0 || view.det_score != nullptr);
+  auto state = std::make_shared<ThompsonPromoEpochState>();
+  const size_t head = std::min(kHeadPositions, view.det_size);
+  state->head.reserve(head);
+  const double max_score = view.det_size > 0 ? view.det_score[0] : 0.0;
+  for (size_t i = 0; i < head; ++i) {
+    const std::optional<double> p =
+        PoolOdds(NormalizedScore(view.det_score[i], max_score));
+    if (!p.has_value()) return nullptr;  // no closed form for this prior
+    state->head.push_back(*p);
+  }
+  return state;
+}
+
 size_t ThompsonPromotionPolicy::ServePrefix(const RankView& view,
                                             const PolicyEpochState* epoch_state,
                                             PolicyScratch& scratch, size_t m,
                                             Rng& rng,
                                             std::vector<uint32_t>* out) const {
-  (void)epoch_state;  // stateless: the view is the whole invariant
   assert(view.det_size == 0 || view.det_score != nullptr);
   scratch.pool_sampler.Reset(view.pool, view.pool_size);
+  std::span<const double> head;
+  if (epoch_state != nullptr) {
+    head = static_cast<const ThompsonPromoEpochState*>(epoch_state)->head;
+  }
   // The duel normalizes head scores by the maximum, the first entry of the
   // descending det list.
   const double max_score = view.det_size > 0 ? view.det_score[0] : 0.0;
-  const size_t count = std::min(m, view.n());
-
-  size_t cursor = 0;
-  size_t appended = 0;
-  while (appended < count) {
-    const size_t det_remaining = view.det_size - cursor;
-    bool from_pool;
-    if (appended < protect_ && det_remaining > 0) {
-      from_pool = false;  // protected prefix never duels
-    } else if (det_remaining == 0) {
-      from_pool = true;
-    } else if (scratch.pool_sampler.remaining() == 0) {
-      from_pool = false;
-    } else {
-      const double s = NormalizedScore(view.det_score[cursor], max_score);
-      const double theta_det =
-          SampleBeta(1.0 + evidence_ * s, 1.0 + evidence_ * (1.0 - s), rng);
-      const double theta_pool = SampleBeta(a_, b_, rng);
-      from_pool = theta_pool > theta_det;
-    }
-    out->push_back(from_pool ? scratch.pool_sampler.Next(rng)
-                             : view.det[cursor++]);
-    ++appended;
-  }
-  return count;
+  const auto coin = [&](size_t d, Rng& coin_rng) {
+    return d < head.size()
+               ? coin_rng.NextBernoulli(head[d])
+               : PoolWinsDuel(NormalizedScore(view.det_score[d], max_score),
+                              coin_rng);
+  };
+  return MergePrefix(view.det, view.det_size, protect_, scratch.pool_sampler,
+                     m, coin, rng, out);
 }
 
 std::vector<uint32_t> ThompsonPromotionPolicy::MaterializeReference(
@@ -142,12 +193,8 @@ std::vector<uint32_t> ThompsonPromotionPolicy::MaterializeReference(
       from_pool = false;
     } else {
       assert(view.det_score != nullptr);
-      const double s =
-          NormalizedScore(view.det_score[det_cursor], max_score);
-      const double theta_det =
-          SampleBeta(1.0 + evidence_ * s, 1.0 + evidence_ * (1.0 - s), rng);
-      const double theta_pool = SampleBeta(a_, b_, rng);
-      from_pool = theta_pool > theta_det;
+      from_pool = PoolWinsDuel(
+          NormalizedScore(view.det_score[det_cursor], max_score), rng);
     }
     if (from_pool) {
       const size_t pick = static_cast<size_t>(rng.NextIndex(pool.size()));

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/policy/stochastic_ranking_policy.h"
@@ -26,6 +27,19 @@ namespace randrank {
 /// pages are promoted — the promotion *rate adapts to the strength of the
 /// evidence at each rank* instead of being one global r. The top `protect`
 /// slots never duel (the paper's protected prefix).
+///
+/// Slots draw independently, so the duel is exactly a Bernoulli(p(s)) coin
+/// with p(s) = P(Beta(a, b) > Beta(1 + c*s, 1 + c*(1 - s))), which falls as
+/// s rises. That is the paper's promotion splice with the constant r
+/// replaced by a per-rank coin: ServePrefix serves through MergePrefix.
+/// When p has a closed form (BetaDuelWinProbability: an integer a or b, or
+/// a point-mass limit) BuildEpochState computes it once per epoch for the
+/// first kHeadPositions det positions — p depends on the view only through
+/// det_score[i] / det_score[0] — and those slots toss one Bernoulli(p).
+/// Deeper slots, calls without a state, and priors without a closed form
+/// (no state is built) toss the literal Gamma/Beta duel, the same law at
+/// the same cost as before the coin. MaterializeReference draws the duel
+/// slot by slot as the independent reference.
 ///
 /// Structurally different from the promotion family (rank-dependent rather
 /// than constant promotion odds) and from epsilon-tail (explores a curated
@@ -51,8 +65,15 @@ class ThompsonPromotionPolicy final : public StochasticRankingPolicy {
     return zero_awareness;
   }
 
-  /// The epoch-invariant state is exactly the view (like the promotion
-  /// splice): nothing extra to build.
+  /// Det positions whose duel-win probability the epoch state holds; a
+  /// top-m query with m well below this tosses no literal duel.
+  static constexpr size_t kHeadPositions = 64;
+
+  /// The duel-win probabilities p of the first min(kHeadPositions, det
+  /// size) det positions, or null when the prior has no closed form. No
+  /// randomness; at most 256 log-space terms per position.
+  std::shared_ptr<const PolicyEpochState> BuildEpochState(
+      const RankView& view) const override;
 
   size_t ServePrefix(const RankView& view, const PolicyEpochState* epoch_state,
                      PolicyScratch& scratch, size_t m, Rng& rng,
@@ -74,6 +95,14 @@ class ThompsonPromotionPolicy final : public StochasticRankingPolicy {
   size_t protect() const { return protect_; }
 
  private:
+  /// The chance that a contested slot goes to the pool when the det head
+  /// it duels has normalized score s: P(Beta(a, b) > Beta(1 + c*s,
+  /// 1 + c*(1 - s))), exact, in [0, 1]; nullopt without a closed form.
+  std::optional<double> PoolOdds(double s) const;
+  /// The literal duel at normalized head score s: true when the pool's
+  /// Beta(a, b) draw beats the head's posterior draw.
+  bool PoolWinsDuel(double s, Rng& rng) const;
+
   /// Pool prior Beta(a, b).
   double a_;
   double b_;

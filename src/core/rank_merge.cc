@@ -6,41 +6,6 @@
 
 namespace randrank {
 
-size_t MergePrefix(const RankPromotionConfig& config, const uint32_t* det,
-                   size_t det_size, PoolPrefixSampler& sampler, size_t m,
-                   Rng& rng, std::vector<uint32_t>* out) {
-  const size_t count = std::min(m, det_size + sampler.remaining());
-  const size_t protected_prefix = std::min(config.k - 1, det_size);
-  size_t d = 0;
-  size_t appended = 0;
-  while (appended < count && d < protected_prefix) {
-    out->push_back(det[d++]);
-    ++appended;
-  }
-  // Chunked coin pre-draw: while neither side can empty within the slots
-  // left, every slot tosses exactly one Bernoulli(r) coin, so the coins can
-  // be drawn in one tight loop before the splice touches any list.
-  constexpr size_t kCoinChunk = 64;
-  bool coins[kCoinChunk];
-  while (appended < count) {
-    const size_t left = count - appended;
-    if (det_size - d >= left && sampler.remaining() >= left) {
-      const size_t chunk = std::min(left, kCoinChunk);
-      for (size_t i = 0; i < chunk; ++i) coins[i] = rng.NextBernoulli(config.r);
-      for (size_t i = 0; i < chunk; ++i) {
-        out->push_back(coins[i] ? sampler.Next(rng) : det[d++]);
-      }
-      appended += chunk;
-    } else {
-      const bool from_pool =
-          NextSlotFromPool(config.r, det_size - d, sampler.remaining(), rng);
-      out->push_back(from_pool ? sampler.Next(rng) : det[d++]);
-      ++appended;
-    }
-  }
-  return count;
-}
-
 uint32_t ResolveRankLazy(const RankPromotionConfig& config,
                          const std::vector<uint32_t>& det,
                          const std::vector<uint32_t>& pool, size_t rank,

@@ -1,6 +1,7 @@
 #ifndef RANDRANK_CORE_RANK_MERGE_H_
 #define RANDRANK_CORE_RANK_MERGE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -48,7 +49,9 @@ inline bool PromoteToPool(const RankPromotionConfig& config,
 /// list (false), given how many entries each side still has. The biased coin
 /// is only tossed while both sides are non-empty. Third piece of the
 /// single-source-of-truth set (with RankOrderBefore and PromoteToPool):
-/// every materialization/lazy/serving merge must consult this helper.
+/// every materialization/lazy merge must consult this helper, and
+/// MergePrefix applies the same rule with its per-slot coin in place of
+/// Bernoulli(r).
 inline bool NextSlotFromPool(double r, size_t det_remaining,
                              size_t pool_remaining, Rng& rng) {
   if (pool_remaining == 0) return false;
@@ -58,22 +61,60 @@ inline bool NextSlotFromPool(double r, size_t det_remaining,
 
 /// Appends the first min(m, det_size + sampler.remaining()) slots of a
 /// fresh random realization of the merged list to `out` and returns how many
-/// were appended: the protected prefix of `det` (an already merged
-/// deterministic order, best first), then the randomized tail spliced in
-/// with a caller-owned sampler over the pool. Identical in distribution to
-/// the prefix of MaterializeList, but costs O(m + k) expected time instead
-/// of O(n). This is the promotion family's serve-path primitive.
+/// were appended: the first min(protected_count, det_size) entries of `det`
+/// (an already merged deterministic order, best first), then the randomized
+/// tail spliced in with a caller-owned sampler over the pool. Each slot
+/// while both sides remain tosses `coin(d, rng)`, true to fill it from the
+/// pool, where d is the det position the slot would otherwise take: the
+/// promotion family tosses Bernoulli(r), ts-promo its per-rank duel. A side
+/// that is empty decides the slot without a toss, as in NextSlotFromPool.
+/// Identical in distribution to the slot-by-slot cascade of
+/// MaterializeList, but costs O(m + k) expected time instead of O(n). This
+/// is the serve-path primitive of both families.
 ///
 /// `sampler` must be Reset() over the pool before each call; it is consumed
 /// by the draws this call makes. While neither side can run dry within the
-/// remaining slots the per-slot Bernoulli(r) coins are pre-drawn in chunks
-/// (one tight loop over the generator), which vectorizes the common case of
-/// a small m against a large corpus; the coin outcomes and pool draws stay
-/// independent uniforms, so the realization distribution is exactly that of
-/// the slot-by-slot cascade in MaterializeList.
-size_t MergePrefix(const RankPromotionConfig& config, const uint32_t* det,
-                   size_t det_size, PoolPrefixSampler& sampler, size_t m,
-                   Rng& rng, std::vector<uint32_t>* out);
+/// remaining slots the per-slot coins are tossed in chunks (one tight loop
+/// over the generator, tracking the det position each coin belongs to),
+/// which vectorizes the common case of a small m against a large corpus;
+/// the coin outcomes and pool draws stay independent, so the realization
+/// distribution is exactly that of the cascade.
+template <typename Coin>
+size_t MergePrefix(const uint32_t* det, size_t det_size,
+                   size_t protected_count, PoolPrefixSampler& sampler,
+                   size_t m, const Coin& coin, Rng& rng,
+                   std::vector<uint32_t>* out) {
+  const size_t count = std::min(m, det_size + sampler.remaining());
+  const size_t protected_prefix = std::min(protected_count, det_size);
+  size_t d = 0;
+  size_t appended = 0;
+  while (appended < count && d < protected_prefix) {
+    out->push_back(det[d++]);
+    ++appended;
+  }
+  constexpr size_t kCoinChunk = 64;
+  bool coins[kCoinChunk];
+  while (appended < count) {
+    const size_t left = count - appended;
+    if (det_size - d >= left && sampler.remaining() >= left) {
+      const size_t chunk = std::min(left, kCoinChunk);
+      for (size_t i = 0, at = d; i < chunk; ++i) {
+        coins[i] = coin(at, rng);
+        at += coins[i] ? 0 : 1;
+      }
+      for (size_t i = 0; i < chunk; ++i) {
+        out->push_back(coins[i] ? sampler.Next(rng) : det[d++]);
+      }
+      appended += chunk;
+    } else {
+      const bool from_pool = sampler.remaining() > 0 &&
+                             (d == det_size || coin(d, rng));
+      out->push_back(from_pool ? sampler.Next(rng) : det[d++]);
+      ++appended;
+    }
+  }
+  return count;
+}
 
 /// Resolves the page occupying `rank` (1-based) in an independent random
 /// realization of (det, pool) merged under `config`, in O(rank) time.

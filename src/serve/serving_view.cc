@@ -66,6 +66,12 @@ std::string CheckEpochInvariants(const ServingView& view,
   for (const uint32_t page : view.pool) {
     if (std::string error = place(page, 1); !error.empty()) return error;
   }
+  if (view.policy_state != nullptr) {
+    if (std::string error = view.policy_state->Check(view.AsView());
+        !error.empty()) {
+      return "policy state: " + error;
+    }
+  }
   return "";
 }
 

@@ -91,7 +91,8 @@ struct ServingView {
 /// `zero_awareness`: det is sorted by RankOrderBefore with det_score as the
 /// score; det ∪ pool is a permutation of [0, n); and, when the policy's
 /// PoolMembership draws no randomness, pool membership is exactly what it
-/// says. Returns an empty string when every invariant holds, else the first
+/// says; and the policy's epoch state, if any, passes its own Check.
+/// Returns an empty string when every invariant holds, else the first
 /// violation. O(n); run on every publish in debug and sanitizer builds.
 std::string CheckEpochInvariants(const ServingView& view,
                                  const std::vector<uint8_t>& zero_awareness,

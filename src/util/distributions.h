@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "util/rng.h"
@@ -97,6 +98,32 @@ class RankBiasSampler {
   double theta_;
   double exponent_;
 };
+
+/// Regularized incomplete beta I_x(a, b) = P(Beta(a, b) <= x) for x in
+/// [0, 1] and a, b > 0, by its continued fraction (modified Lentz) with the
+/// prefactor in log space.
+double RegularizedIncompleteBeta(double x, double a, double b);
+
+/// The duel-win probability P(Beta(a, b) > Beta(alpha, beta)) for
+/// independent draws, all parameters positive and finite, where a closed
+/// form applies:
+///
+///  * a positive integer a (up to 256) takes the finite sum
+///      g(1) = B(alpha, beta + b) / B(alpha, beta),
+///      g(j + 1) = g(j) + B(alpha + j, beta + b) / (j B(j, b) B(alpha, beta)),
+///    i.e. a terms from term(0) = g(1) by term(j + 1) = term(j) (alpha + j)
+///    (j + b) / ((alpha + beta + b + j)(j + 1)), summed in log space;
+///  * an integer b takes the mirror 1 - P(Beta(b, a) > Beta(beta, alpha))
+///    (the shorter sum when both are integers);
+///  * a Beta whose parameters sum past 10^10 (sd below 10^-5) counts as a
+///    point mass at its mean: for huge alpha + beta the duel is its limit
+///    1 - I_mu(a, b), mu = alpha / (alpha + beta).
+///
+/// Otherwise (neither a nor b such an integer, neither Beta a point mass)
+/// returns nullopt: the caller draws the duel itself. A returned value is
+/// finite and in [0, 1]. Thread-safe (no shared state).
+std::optional<double> BetaDuelWinProbability(double a, double b, double alpha,
+                                             double beta);
 
 }  // namespace randrank
 

@@ -59,10 +59,9 @@ TEST(PolicyCapabilitiesTest, FamiliesDeclareTheExpectedMatrix) {
   EXPECT_EQ(ts->AsPromotion(), nullptr);
 }
 
-// Which families actually produce opaque per-epoch state (for the promotion,
-// eps-tail and ts-promo families the epoch-invariant state is the view
-// itself, so their hook returns null and the serve layer passes nothing
-// extra).
+// Which families actually produce opaque per-epoch state (for the promotion
+// and eps-tail families the epoch-invariant state is the view itself, so
+// their hook returns null and the serve layer passes nothing extra).
 TEST(PolicyCapabilitiesTest, BuildEpochStateProducesStateWhereExpected) {
   const size_t n = 60;
   Fixture fx(n, 0);
@@ -81,8 +80,50 @@ TEST(PolicyCapabilitiesTest, BuildEpochStateProducesStateWhereExpected) {
   // eps-tail reads its protected head from the view in place.
   EXPECT_EQ(build(MakeEpsilonTailPolicy(0.3, 4)), nullptr);
   EXPECT_EQ(build(MakeEpsilonTailPolicy(0.3, 0)), nullptr);
-  // ts-promo duels over the merged view itself — nothing extra to build.
-  EXPECT_EQ(build(MakeThompsonPromotionPolicy(1.0, 3.0, 20.0, 1)), nullptr);
+  // ts-promo precomputes its head's per-rank duel-win probabilities where
+  // they have a closed form (an integer a or b); without one it tosses the
+  // literal duel and builds nothing.
+  EXPECT_NE(build(MakeThompsonPromotionPolicy(1.0, 3.0, 20.0, 1)), nullptr);
+  EXPECT_NE(build(MakeThompsonPromotionPolicy(0.5, 2.0, 20.0, 1)), nullptr);
+  EXPECT_EQ(build(MakeThompsonPromotionPolicy(1.5, 1.5, 4.0, 1)), nullptr);
+}
+
+// Each epoch state checks itself against its view: sized to it, every
+// entry in range, and for ts-promo a head whose pool odds never fall down
+// the list (scores fall, so does the evidence against the pool).
+TEST(PolicyCapabilitiesTest, EpochStatesCheckThemselves) {
+  Fixture fx(100, 20);
+  const auto ts = MakeThompsonPromotionPolicy(1.0, 3.0, 20.0, 1);
+  for (const auto& policy :
+       {MakePlackettLucePolicy(0.2), ts,
+        MakeThompsonPromotionPolicy(0.5, 2.0, 20.0, 1)}) {
+    SCOPED_TRACE(policy->Label());
+    Ranker ranker(policy);
+    Rng rng(18);
+    ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
+    const RankView view = {ranker.deterministic_order().data(),
+                           ranker.deterministic_scores().data(),
+                           ranker.deterministic_order().size(),
+                           ranker.pool().data(), ranker.pool().size()};
+    const auto state = policy->BuildEpochState(view);
+    ASSERT_NE(state, nullptr);
+    EXPECT_EQ(state->Check(view), "");
+    RankView shorter = view;
+    shorter.det_size = 10;
+    EXPECT_NE(state->Check(shorter), "");
+  }
+
+  // Scores out of order: a low score at det position 1 gives that slot
+  // higher pool odds than position 2's.
+  Ranker ranker(ts);
+  Rng rng(19);
+  ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
+  std::vector<double> scores = ranker.deterministic_scores();
+  scores[1] = scores.back();
+  const RankView out_of_order = {ranker.deterministic_order().data(),
+                                 scores.data(), scores.size(),
+                                 ranker.pool().data(), ranker.pool().size()};
+  EXPECT_NE(ts->BuildEpochState(out_of_order)->Check(out_of_order), "");
 }
 
 TEST(PolicyFactoryTest, LabelsRoundTripThroughMakePolicyFromLabel) {
@@ -311,6 +352,15 @@ TEST(PolicyFactoryTest, FuzzedLabelsParseOrReject) {
     const std::vector<uint32_t> list = ranker.TopM(n, rng);
     ASSERT_EQ(std::set<uint32_t>(list.begin(), list.end()).size(), n)
         << label;
+    // Extreme parameters (c = 1e40, a = 1e40, ...) still build a
+    // well-formed epoch state.
+    const RankView view = {ranker.deterministic_order().data(),
+                           ranker.deterministic_scores().data(),
+                           ranker.deterministic_order().size(),
+                           ranker.pool().data(), ranker.pool().size()};
+    if (const auto state = policy->BuildEpochState(view); state != nullptr) {
+      EXPECT_EQ(state->Check(view), "") << label;
+    }
   }
   // Parameter splices keep a share of the labels well-formed.
   EXPECT_GT(accepted, 100u);
@@ -572,6 +622,87 @@ TEST(PolicyEquivalenceTest, ThompsonPromoServeMatchesMaterializeChiSquared) {
   const std::vector<double> served =
       ServeCounts(policy, fx, n, m, kTrials, m + 1, 502, stat);
   ExpectChiSquaredAgreement(served, reference, "ts-promo");
+}
+
+// The stronger form for ts-promo: which source fills each slot. Statistic:
+// the det/pool pattern of a window of ranks (bit j set when rank from + j
+// holds a pool page), over the head of the list and over ranks whose det
+// cursor runs past the epoch state's kHeadPositions, served with the
+// published epoch state and with none, against the literal-duel reference.
+// Points: the benchmark's prior (the sum in a), a non-integer a (the
+// mirror), and a prior with no closed form, which builds no state and
+// tosses the literal duel throughout.
+TEST(PolicyEquivalenceTest, ThompsonPromoSlotSourcesMatchMaterializeChiSquared) {
+  const size_t n = 160;
+  const size_t m = 90;
+  constexpr size_t kWindow = 10;
+  Fixture fx(n, 40);  // 120 det pages: cursors reach past the 64-page head
+  ASSERT_GT(n - 40, ThompsonPromotionPolicy::kHeadPositions + kWindow);
+  const size_t cells = size_t{1} << kWindow;
+  constexpr int kTrials = 20000;
+  // Window starts: the head, and the tail of a served prefix.
+  const size_t from[2] = {0, m - kWindow};
+  // Pattern counts per window over kTrials prefixes drawn by `draw`.
+  const auto count = [&](const auto& draw) {
+    std::vector<std::vector<double>> counts(2, std::vector<double>(cells, 0.0));
+    std::vector<uint32_t> prefix;
+    for (int t = 0; t < kTrials; ++t) {
+      prefix.clear();
+      draw(&prefix);
+      for (size_t w = 0; w < 2; ++w) {
+        size_t bits = 0;
+        for (size_t j = 0; j < kWindow; ++j) {
+          bits |= size_t{fx.zero[prefix[from[w] + j]]} << j;
+        }
+        counts[w][bits] += 1.0;
+      }
+    }
+    return counts;
+  };
+  const struct {
+    double a, b;
+    bool has_state;
+  } points[] = {{1.0, 3.0, true}, {0.5, 2.0, true}, {0.5, 0.5, false}};
+  for (const auto& point : points) {
+    const auto policy = MakeThompsonPromotionPolicy(point.a, point.b, 20.0, 1);
+    Ranker ranker(policy);
+    Rng rng(601);
+    ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
+    const auto reference = count([&](std::vector<uint32_t>* prefix) {
+      const std::vector<uint32_t> list = ranker.MaterializeList(rng);
+      prefix->assign(list.begin(), list.begin() + static_cast<ptrdiff_t>(m));
+    });
+
+    ServeOptions opts;
+    opts.seed = 602;
+    ShardedRankServer server(policy, n, opts);
+    server.Update(fx.popularity, fx.zero, fx.birth);
+    ASSERT_EQ(server.view()->policy_state != nullptr, point.has_state);
+    auto ctx = server.CreateContext();
+    const auto with_state = count([&](std::vector<uint32_t>* prefix) {
+      ASSERT_EQ(server.ServeTopM(ctx, m, prefix), m);
+    });
+
+    const RankView view = {ranker.deterministic_order().data(),
+                           ranker.deterministic_scores().data(),
+                           ranker.deterministic_order().size(),
+                           ranker.pool().data(), ranker.pool().size()};
+    PolicyScratch scratch;
+    const auto without_state = count([&](std::vector<uint32_t>* prefix) {
+      ASSERT_EQ(policy->ServePrefix(view, nullptr, scratch, m, rng, prefix),
+                m);
+    });
+
+    const std::string what = policy->Label();
+    ExpectChiSquaredAgreement(with_state[0], reference[0],
+                              (what + " with state, head").c_str());
+    ExpectChiSquaredAgreement(with_state[1], reference[1],
+                              (what + " with state, past the head").c_str());
+    ExpectChiSquaredAgreement(without_state[0], reference[0],
+                              (what + " without state, head").c_str());
+    ExpectChiSquaredAgreement(without_state[1], reference[1],
+                              (what + " without state, tail").c_str());
+  }
 }
 
 // --- Every family serves from the published view ------------------------

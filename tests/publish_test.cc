@@ -532,5 +532,27 @@ TEST(EpochInvariantsTest, FlagsEachBrokenInvariant) {
   EXPECT_EQ(CheckEpochInvariants(misplaced, fx.zero, fx.birth), "");
 }
 
+// The policy's epoch state is part of the epoch: one built over another
+// view (here a 10-page det list) no longer matches the view it is served
+// with.
+TEST(EpochInvariantsTest, FlagsAPolicyStateOfAnotherView) {
+  Fixture fx(100, 20);
+  for (const char* label :
+       {"ts-promo(a=1.00,b=3.00,c=20.0,k=1)", "plackett-luce(T=0.25)"}) {
+    SCOPED_TRACE(label);
+    ShardedRankServer server(Policy(label), 100);
+    ASSERT_TRUE(server.Update(fx.popularity, fx.zero, fx.birth));
+    const ServingView good = *server.view();
+    ASSERT_NE(good.policy_state, nullptr);
+    EXPECT_EQ(CheckEpochInvariants(good, fx.zero, fx.birth), "");
+
+    RankView shorter = good.AsView();
+    shorter.det_size = 10;
+    ServingView stale = good;
+    stale.policy_state = good.policy->BuildEpochState(shorter);
+    EXPECT_NE(CheckEpochInvariants(stale, fx.zero, fx.birth), "");
+  }
+}
+
 }  // namespace
 }  // namespace randrank

@@ -392,6 +392,40 @@ TEST(RankMergeTest, PoolPrefixSamplerFirstDrawIsUniform) {
   }
 }
 
+// Pins the promotion family's served bits: FNV-1a hashes of every prefix a
+// fixed seed serves through Ranker::TopM (PromotionPolicy::ServePrefix ->
+// MergePrefix), over several m including m past the det list and past n.
+// Any change to the splice's coin order or Rng consumption moves them; the
+// law tests above would not notice a reordering that keeps the law.
+TEST(RankMergeTest, PromotionFamilyServesGoldenPrefixes) {
+  const size_t n = 60;
+  Fixture fx(n, 15);
+  const struct {
+    RankPromotionConfig config;
+    uint64_t golden;
+  } cases[] = {
+      {RankPromotionConfig::None(), 17494741133779981421ULL},
+      {RankPromotionConfig::Uniform(0.10), 12655894840452605720ULL},
+      {RankPromotionConfig::Selective(0.10, 2), 127915504529535963ULL},
+  };
+  for (const auto& c : cases) {
+    Ranker ranker(MakePromotionPolicy(c.config));
+    Rng rng(1606);
+    ranker.Update(fx.popularity, fx.zero, fx.birth, rng);
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const size_t m : {1, 3, 10, 44, 50, 70}) {
+      for (int query = 0; query < 200; ++query) {
+        const std::vector<uint32_t> prefix = ranker.TopM(m, rng);
+        ASSERT_EQ(prefix.size(), std::min(m, n));
+        for (const uint32_t page : prefix) {
+          hash = (hash ^ page) * 0x100000001b3ULL;
+        }
+      }
+    }
+    EXPECT_EQ(hash, c.golden) << c.config.Label();
+  }
+}
+
 class MergePropertyTest
     : public ::testing::TestWithParam<std::tuple<double, size_t, size_t>> {};
 

@@ -3,6 +3,8 @@
 // Forks --procs worker processes; each opens --conns connections and runs a
 // closed loop (one outstanding query per connection, next query sent when
 // the reply lands) until --queries queries per process or --seconds elapse.
+// A connection an I/O error closed (a reset, a timeout) is redialled with
+// --retries before its next query, so injected resets cost one query each.
 // Children report their outcome counts over a pipe; the parent aggregates
 // and prints one summary line, then runs the requested validations against
 // the live daemon:
@@ -101,8 +103,12 @@ Counts RunWorker(const std::string& host, uint16_t port, int retries,
                            std::chrono::seconds(seconds)) {
       break;
     }
+    // A connection closed by an I/O error redials through the same
+    // retries as the first connect; only a daemon that stays unreachable
+    // ends the worker.
     NetClient& client = clients[q % conns];
-    if (!client.connected()) {
+    if (!client.connected() &&
+        !client.Connect(host, port, retries, 100, 10000)) {
       counts.io_error += 1;
       break;
     }
